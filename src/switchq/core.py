@@ -23,6 +23,7 @@ test suite leans on that redundancy.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import get_ident
 
 import numpy as np
 
@@ -33,7 +34,7 @@ _NEAR_ONE_TOL = 1e-6    # |r - 1| below this: sum term by term, the quotient for
 _NEAR_ONE_TOL_FM = 1e-3  # wider window for the first moment (quadratic cancellation)
 _LOG_SPACE_LIMIT = 300.0  # exponent * |ln ratio| beyond this: work with logarithms
 _RESCALE_HI = 1e100
-_CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a running product may overflow
+_CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
 
 Policy = tuple[int, ...]
 
@@ -119,24 +120,22 @@ def is_feasible(m: Metrics, inst: Instance, eps: float = EPS_B) -> bool:
 # direct route: run the balance recursion
 
 
-def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
-    """Evaluate a policy by running the balance recursion.
+def _balance_weights(inst: Instance, pol: Policy) -> list[float]:
+    """Unnormalized state weights q(j), j = 0..S, from the balance recursion.
 
-    On the segment served by i workers, q(j+1) = q(j) * lam / (i * mu); when
-    the running value grows past float range the filled prefix is rescaled
-    (the common factor cancels during normalization).  A shrinking value is
-    left alone: the per-state ratio only falls along the walk, so a tiny tail
-    stays tiny and may harmlessly underflow to zero.
+    On the segment served by i workers, q(j+1) = q(j) * lam / (i * mu), from
+    q(k_0) = 1; when the running value grows past float range the filled
+    prefix is rescaled (the common factor cancels during normalization).  A
+    shrinking value is left alone: the per-state ratio only falls along the
+    walk, so a tiny tail stays tiny and may harmlessly underflow to zero.
     """
-    validate_instance(inst)
-    validate_policy(inst, pol)
-    s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
+    lam, mu = inst.lam, inst.mu
     k0 = pol[0]
-    q = [0.0] * (s + 1)
+    q = [0.0] * (inst.S + 1)
     q[k0] = 1.0
     cur = 1.0
     j = k0
-    for i in range(1, n + 1):
+    for i in range(1, inst.N + 1):
         step = lam / (i * mu)
         while j < pol[i]:
             cur *= step
@@ -146,6 +145,16 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
                 for t in range(k0, j + 1):
                     q[t] /= cur
                 cur = 1.0
+    return q
+
+
+def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
+    """Evaluate a policy by running the balance recursion state by state."""
+    validate_instance(inst)
+    validate_policy(inst, pol)
+    s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
+    k0 = pol[0]
+    q = _balance_weights(inst, pol)
     tot = math.fsum(q[k0:])
     p = [0.0] * (s + 1)
     for t in range(k0, s + 1):
@@ -164,20 +173,7 @@ def _direct_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     """
     s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
     k0 = pol[0]
-    q = [0.0] * (s + 1)
-    q[k0] = 1.0
-    cur = 1.0
-    j = k0
-    for i in range(1, n + 1):
-        step = lam / (i * mu)
-        while j < pol[i]:
-            cur *= step
-            j += 1
-            q[j] = cur
-            if cur > _RESCALE_HI:
-                for t in range(k0, j + 1):
-                    q[t] /= cur
-                cur = 1.0
+    q = _balance_weights(inst, pol)
     tot = math.fsum(q[k0:])
     f = math.fsum(i * q[j] for i in range(1, n + 1) for j in range(pol[i - 1] + 1, pol[i] + 1)) / tot
     big_l = math.fsum(t * q[t] for t in range(k0, s + 1)) / tot
@@ -188,16 +184,22 @@ def _direct_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# vectorized route: the balance recursion as one cumulative product
+# vectorized route: the balance recursion as cumulative products
 
 
 class _Workspace:
-    """Reusable per-instance buffers for ``evaluate_b_wq``.
+    """Reusable buffers for ``evaluate_b_wq`` on one instance in one thread.
 
     step_buf[t] holds the balance ratio into state t for the policy of the
-    previous call.  Search and heuristic walks move one switching point by
-    one step at a time, which changes the segment of a single state, so most
-    calls patch one entry instead of refilling the buffer.
+    previous call, and the product runs forward from q(k_0) = 1.  It peaks
+    where the per-state ratio crosses one and only shrinks afterwards, so it
+    stays in float range while S * ln(lam/mu) is small (a tail that
+    underflows to zero is harmless).  Search and heuristic walks move one
+    switching point by one step at a time, which changes the segment of a
+    single state, so most calls patch one entry instead of refilling the
+    buffer.  A caller that moved exactly one switching point by one step
+    since its previous call here may pass that point's index as ``moved``,
+    which skips the scan for it.
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "t_all", "step_buf", "q_buf",
@@ -216,29 +218,30 @@ class _Workspace:
         d = np.diff(np.asarray(pol))
         self.step_buf[pol[0] + 1:] = np.repeat(self.rs, d)
 
-    def _sync(self, pol: Policy) -> None:
+    def _sync(self, pol: Policy, moved: int) -> None:
         last = self.last
         self.last = pol
-        if last is None:
-            self._refill(pol)
-            return
-        moved = -1
-        for i in range(self.n):
-            if pol[i] != last[i]:
-                moved = i
-                break
         if moved < 0:
-            return
-        if abs(pol[moved] - last[moved]) != 1 or pol[moved + 1:] != last[moved + 1:]:
-            self._refill(pol)
-        elif pol[moved] < last[moved]:
+            if last is None:
+                self._refill(pol)
+                return
+            for i in range(self.n):
+                if pol[i] != last[i]:
+                    moved = i
+                    break
+            if moved < 0:
+                return
+            if abs(pol[moved] - last[moved]) != 1 or pol[moved + 1:] != last[moved + 1:]:
+                self._refill(pol)
+                return
+        if pol[moved] < last[moved]:
             self.step_buf[last[moved]] = self.rs[moved]
         elif moved > 0:
             self.step_buf[pol[moved]] = self.rs[moved - 1]
         # raising k_0 only shrinks the live range; no entry changes
 
-    def b_wq(self, pol: Policy) -> tuple[float, float]:
-        self._sync(pol)
+    def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
+        self._sync(pol, moved)
         k0 = pol[0]
         parts = self.views.get(k0)
         if parts is None:
@@ -258,19 +261,62 @@ class _Workspace:
         return self.n - f, wq
 
 
+class _ModeWorkspace(_Workspace):
+    """Workspace whose product is anchored at the mode, for wide instances.
+
+    Once S * ln(lam/mu) is large, a product run forward from k_0 can
+    overflow.  The mode of the distribution sits at p = k_{i*}, where i*
+    counts the worker levels whose ratio lam/(i*mu) is at least one.  Here
+    q(p) = 1, the product runs forward over the ratios above p and backward
+    over the inverse ratios below it, so every partial product is at most
+    one.  Whether a state lies at or below p depends only on its segment, so
+    the ratio table stores inverses on the first i* segments and the shared
+    patching code keeps step_buf right as k_{i*} moves.
+    """
+
+    __slots__ = ("mode",)
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self.mode = int(np.count_nonzero(self.rs >= 1.0))
+        self.rs[:self.mode] = 1.0 / self.rs[:self.mode]
+        self.q_buf = np.empty(self.s + 2)  # q_buf[t + 1] holds q(t)
+
+    def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
+        self._sync(pol, moved)
+        k0, p = pol[0], pol[self.mode]
+        q = self.q_buf
+        q[p + 1] = 1.0
+        np.multiply.accumulate(self.step_buf[p + 1:], out=q[p + 2:])
+        np.multiply.accumulate(self.step_buf[p:k0:-1], out=q[p:k0:-1])
+        live = q[k0 + 1:]
+        tot = float(np.add.reduce(live))
+        p_s = float(q[-1]) / tot
+        big_l = float(np.dot(self.t_all[k0:], live)) / tot
+        # the base class's flow-balance tail, repeated so that its hot path
+        # pays for no extra call
+        f = self.lam / self.mu * (1.0 - p_s)
+        admitted = self.lam * (1.0 - p_s)
+        wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
+        return self.n - f, wq
+
+
 @lru_cache(maxsize=32)
-def _workspace(inst: Instance) -> _Workspace:
+def _workspace(inst: Instance, thread: int) -> _Workspace:
+    """The workspace of one instance for one thread; threads never share one."""
+    if inst.lam > inst.mu and inst.S * math.log(inst.lam / inst.mu) > _CUMPROD_LIMIT:
+        return _ModeWorkspace(inst)
     return _Workspace(inst)
 
 
 def _fast_eval(inst: Instance):
-    """Bound vectorized evaluator, or None when the product could overflow.
+    """The calling thread's bound vectorized evaluator for inst.
 
-    Lets tight loops skip the per-call cache lookup in evaluate_b_wq.
+    Lets tight loops skip the per-call cache lookup in evaluate_b_wq and pass
+    b_wq's ``moved`` hint.  Every instance has one: wide instances get the
+    mode-anchored workspace.
     """
-    if inst.lam <= inst.mu or inst.S * math.log(inst.lam / inst.mu) <= _CUMPROD_LIMIT:
-        return _workspace(inst).b_wq
-    return None
+    return _workspace(inst, get_ident()).b_wq
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +484,11 @@ def evaluate_closed_form(inst: Instance, pol: Policy) -> Metrics:
 def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     """B and Wq only; the fast path for search and heuristics.
 
-    Runs the balance recursion as one cumulative product over reusable
-    per-instance buffers.  The product peaks where the per-state ratio
-    crosses one and only shrinks afterwards, so it cannot overflow unless
-    S * ln(lam/mu) is large; beyond that the closed forms take over (a tail
-    that underflows to zero is harmless either way).  Skips validation and
-    the distribution vector; callers pass trusted policies.
+    Runs the balance recursion as cumulative products over reusable buffers
+    that belong to the instance and the calling thread.  The product starts
+    at k_0, or, when S * ln(lam/mu) is large enough that it could overflow
+    from there, at the mode of the distribution, so every instance stays on
+    this route.  Skips validation and the distribution vector; callers pass
+    trusted policies.
     """
-    n, lam, mu = inst.N, inst.lam, inst.mu
-    if lam <= mu or inst.S * math.log(lam / mu) <= _CUMPROD_LIMIT:
-        return _workspace(inst).b_wq(pol)
-    if _needs_log_space(inst, pol):
-        pk, _, _, f, big_l = _aggregates_log(inst, pol)
-    else:
-        pk, _, _, f, big_l = _aggregates_plain(inst, pol)
-    admitted = lam * (1.0 - pk[n])
-    wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return n - f, wq
+    return _workspace(inst, get_ident()).b_wq(pol)

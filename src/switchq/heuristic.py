@@ -11,10 +11,8 @@ two extreme policies.
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
-from .core import (EPS_B, Instance, Policy, _fast_eval, evaluate_b_wq,
-                   max_backroom_policy, validate_instance)
+from .core import EPS_B, Instance, Policy, _fast_eval, max_backroom_policy, validate_instance
 
 IMPROVE_EPS = 1e-12
 
@@ -64,13 +62,13 @@ def run_p1(inst: Instance, eps_b: float = EPS_B,
     s, n = inst.S, inst.N
     k = list(max_backroom_policy(inst))
     trace: list[HeuristicStep] = []
-    evaluate = _fast_eval(inst) or partial(evaluate_b_wq, inst)
+    evaluate = _fast_eval(inst)
     dec_label = [f"dec k{t}" for t in range(n)]
     inc_label = [f"inc k{t}" for t in range(n)]
 
-    def look(action: str) -> tuple[float, float]:
+    def look(action: str, moved: int = -1) -> tuple[float, float]:
         pol = tuple(k)
-        b, wq = evaluate(pol)
+        b, wq = evaluate(pol, moved)
         trace.append(HeuristicStep(pol, b, wq, action))
         return b, wq
 
@@ -97,17 +95,20 @@ def run_p1(inst: Instance, eps_b: float = EPS_B,
             break
         floor = j
         k[j] -= 1
-        b, wq = look(dec_label[j])
+        b, wq = look(dec_label[j], j)
         if b < target:
             big_j = j
+            # raising k_{j2} widens only the gap below it, so every index
+            # below j2 - 1 stays stuck and the next scan starts at j2 - 1
+            j2 = 0
             while True:
-                j2 = next((t for t in range(big_j) if type2_eligible(k, t)), None)
+                j2 = next((t for t in range(max(0, j2 - 1), big_j) if type2_eligible(k, t)), None)
                 if j2 is None:
                     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
                 if j2 < floor:
                     floor = j2
                 k[j2] += 1
-                b, wq = look(inc_label[j2])
+                b, wq = look(inc_label[j2], j2)
                 if b >= target:
                     break
         if wq < best_wq - improve_eps:

@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,8 @@ from conftest import (EXAMPLE, GOLDEN_B_WQ, log_space_pair, near_unit_pair,
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, validate_instance, validate_policy)
-from switchq.core import _geom_first_moment, _geom_sum, _needs_log_space
+from switchq.core import (_geom_first_moment, _geom_sum, _ModeWorkspace, _needs_log_space,
+                          _workspace)
 
 
 def test_validate_instance_accepts_example():
@@ -203,11 +207,102 @@ def test_evaluate_b_wq_matches_full_metrics():
             assert rel_close(wq, m.Wq, 1e-11)
 
 
-def test_evaluate_b_wq_overflow_fallback():
-    # S * ln(lam/mu) far past float range: the lean evaluator must hand off
-    # to the closed forms and then agree with them exactly
-    inst = Instance(S=900, N=4, lam=80.0, mu=0.05, Bl=1.0)
-    pol = (2, 300, 500, 700, 900)
-    b, wq = evaluate_b_wq(inst, pol)
-    m = evaluate_closed_form(inst, pol)
-    assert b == m.B and wq == m.Wq
+def _mode_index(inst: Instance) -> int:
+    """i*: the worker levels whose ratio lam/(i*mu) is at least one."""
+    return sum(inst.lam / (i * inst.mu) >= 1.0 for i in range(1, inst.N + 1))
+
+
+def _walk(rng: random.Random, inst: Instance, steps: int) -> list[tuple[int, ...]]:
+    """Policies as a search or heuristic walk feeds them to one workspace.
+
+    Mostly single +-1 moves, a third of them on k_{i*} when it can move;
+    about one step in ten jumps to a fresh random policy, moving many points.
+    """
+    mode = _mode_index(inst)
+    pol = list(random_policy(rng, inst))
+    out = [tuple(pol)]
+    while len(out) < steps:
+        if rng.random() < 0.1:
+            pol = list(random_policy(rng, inst))
+        else:
+            i = mode if mode < inst.N and rng.random() < 1 / 3 else rng.randrange(inst.N)
+            v = pol[i] + rng.choice((-1, 1))
+            lo = pol[i - 1] if i else -1
+            if not lo < v < pol[i + 1]:
+                continue
+            pol[i] = v
+        out.append(tuple(pol))
+    return out
+
+
+def test_evaluate_b_wq_wide_agrees_with_oracles():
+    # S * ln(lam/mu) > 600: a product run forward from k_0 would overflow, so
+    # the workspace anchors it at the mode; walks must track both oracles
+    rng = random.Random(47)
+    cases = [
+        Instance(S=300, N=40, lam=12.0, mu=1.0, Bl=0.0),     # mode inside the policy
+        Instance(S=300, N=6, lam=30.0, mu=1.0, Bl=0.0),      # lam >= N*mu: mode at S
+        Instance(S=600, N=20, lam=3.3, mu=1.0, Bl=0.0),
+        Instance(S=600, N=3, lam=7.0, mu=2.0, Bl=0.0),       # ratio 3.5 >= N
+        Instance(S=900, N=4, lam=80.0, mu=0.05, Bl=1.0),
+        Instance(S=1000, N=60, lam=5.0, mu=2.5, Bl=0.0),
+    ]
+    for inst in cases:
+        assert inst.S * math.log(inst.lam / inst.mu) > 600
+        assert isinstance(_workspace(inst, threading.get_ident()), _ModeWorkspace)
+        mode = _mode_index(inst)
+        mode_moves = 0
+        walk = _walk(rng, inst, 60)
+        for prev, pol in zip([None] + walk, walk):
+            mode_moves += prev is not None and prev[mode] != pol[mode]
+            b, wq = evaluate_b_wq(inst, pol)
+            tol = 1e-6 if _needs_log_space(inst, pol) else 1e-9
+            for m in (evaluate_direct(inst, pol), evaluate_closed_form(inst, pol)):
+                assert rel_close(b, m.B, tol), (inst, pol)
+                assert rel_close(wq, m.Wq, tol), (inst, pol)
+        assert mode_moves > 0 or mode == inst.N
+
+
+def _evaluate_in_threads(inst, walks, expect, rounds, deadline):
+    """Each thread replays its own walk through evaluate_b_wq ``rounds``
+    times; returns (evaluations done per thread, wrong results)."""
+    done = [0] * len(walks)
+    wrong = []
+
+    def work(t):
+        for _ in range(rounds):
+            if time.monotonic() > deadline:
+                return
+            for pol, (b, wq) in zip(walks[t], expect[t]):
+                got = evaluate_b_wq(inst, pol)
+                if not (rel_close(got[0], b) and rel_close(got[1], wq)):
+                    wrong.append((pol, got, (b, wq)))
+                done[t] += 1
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(walks))]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60.0)
+    assert not any(th.is_alive() for th in threads)
+    return done, wrong
+
+
+def test_evaluate_b_wq_is_thread_safe():
+    # threads walking one instance at once must never see each other's buffers
+    rng = random.Random(53)
+    n_threads, steps, rounds = 4, 50, 40
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for inst in (Instance(S=60, N=12, lam=9.0, mu=1.0, Bl=0.0),
+                     Instance(S=300, N=8, lam=30.0, mu=1.0, Bl=0.0)):
+            walks = [_walk(rng, inst, steps) for _ in range(n_threads)]
+            expect = [[(m.B, m.Wq) for m in (evaluate_direct(inst, pol) for pol in walk)]
+                      for walk in walks]
+            done, wrong = _evaluate_in_threads(inst, walks, expect, rounds,
+                                               time.monotonic() + 30.0)
+            assert sum(done) == n_threads * steps * rounds, (inst, done)
+            assert not wrong, (inst, len(wrong), wrong[:3])
+    finally:
+        sys.setswitchinterval(old_interval)

@@ -2,8 +2,8 @@
 
 import random
 
-from conftest import EXAMPLE, OPT_POLICY, random_instance
-from switchq import Instance, brute_force_optimum, evaluate_b_wq, run_p1
+from conftest import EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
+from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
 from switchq.core import min_wait_policy
 from switchq.heuristic import type1_eligible, type2_eligible
 
@@ -102,3 +102,60 @@ def test_walk_never_beats_brute_force():
         assert res.wq >= found[1] - 1e-9
         checked += 1
     assert checked > 20
+
+
+def _reference_p1(inst: Instance, eps_b: float = 1e-9, improve_eps: float = 1e-12):
+    """P1 as published, with the J guard: every repair scan starts from 0
+    and every policy goes through evaluate_b_wq.  Returns the trace as
+    (policy, B, Wq, action) tuples and the best policy."""
+    k = list(range(inst.S - inst.N, inst.S)) + [inst.S]
+    trace = []
+
+    def look(action):
+        b, wq = evaluate_b_wq(inst, tuple(k))
+        trace.append((tuple(k), b, wq, action))
+        return b, wq
+
+    target = inst.Bl - eps_b
+    b, wq = look("start")
+    if b < target:
+        return trace, None
+    best_pol, best_wq = tuple(k), wq
+    big_j, floor = inst.N, 0
+    while True:
+        j = next((t for t in range(floor, big_j) if type1_eligible(k, t)), None)
+        if j is None:
+            return trace, best_pol
+        floor = j
+        k[j] -= 1
+        b, wq = look(f"dec k{j}")
+        if b < target:
+            big_j = j
+            while True:
+                j2 = next((t for t in range(big_j) if type2_eligible(k, t)), None)
+                if j2 is None:
+                    return trace, best_pol
+                floor = min(floor, j2)
+                k[j2] += 1
+                b, wq = look(f"inc k{j2}")
+                if b >= target:
+                    break
+        if wq < best_wq - improve_eps:
+            best_pol, best_wq = tuple(k), wq
+
+
+def test_walk_matches_one_at_a_time_reference():
+    # run_p1 resumes each repair scan at j2 - 1 and evaluates through the
+    # thread's workspace; the walk, its values and its answer must be those
+    # of the plain loop that rescans from 0 and calls evaluate_b_wq
+    rng = random.Random(19)
+    insts = generate(TALL_SPEC)[:4] + [random_instance(rng, 2, 60) for _ in range(60)]
+    insts.append(Instance(S=300, N=10, lam=9.0, mu=1.0, Bl=0.5))   # mode-anchored
+    long_walks = 0
+    for inst in insts:
+        ref_trace, ref_pol = _reference_p1(inst)
+        res = run_p1(inst)
+        assert [(st.policy, st.B, st.Wq, st.action) for st in res.trace] == ref_trace, inst
+        assert res.policy == ref_pol
+        long_walks += len(ref_trace) > 500
+    assert long_walks >= 3
