@@ -167,9 +167,12 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
 
 
 def _direct_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
-    """Aggregates-only version of evaluate_direct for tight enumeration loops.
+    """B and Wq by the direct recursion, without validation or the normalized vector.
 
-    Skips validation and the normalized vector; callers pass trusted policies.
+    The brute-force judge's confirmer: the judge screens whole blocks of
+    policies with its own batched arithmetic and calls this only for the few
+    whose feasibility or rank the screen cannot settle, so its answers are
+    this function's.  Callers pass trusted policies.
     """
     s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
     k0 = pol[0]

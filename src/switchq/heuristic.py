@@ -9,6 +9,7 @@ policy seen is returned; it is guaranteed optimal only when it is one of the
 two extreme policies.
 """
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -39,16 +40,21 @@ class HeuristicStep:
 
 @dataclass
 class HeuristicResult:
-    status: str              # "solved" or "infeasible"
+    status: str              # "solved", "infeasible", or "timeout": the deadline
+                             # passed mid-walk and policy is the best feasible seen
     policy: Policy | None
     wq: float | None
     steps: int               # policy evaluations performed
     trace: list[HeuristicStep] = field(default_factory=list)
 
 
-def run_p1(inst: Instance, eps_b: float = EPS_B,
-           improve_eps: float = IMPROVE_EPS) -> HeuristicResult:
+def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EPS,
+           deadline: float | None = None) -> HeuristicResult:
     """Run the heuristic and return the best feasible policy it visits.
+
+    deadline is a ``time.perf_counter()`` reading.  It is checked before
+    every evaluation after the first; once it has passed, the walk stops with
+    status "timeout" and the best feasible policy seen so far.
 
     Follows the published steps with the J guard: only indices below J may
     move, and J drops to j* whenever decrementing k_{j*} breaks the
@@ -86,6 +92,8 @@ def run_p1(inst: Instance, eps_b: float = EPS_B,
     while True:
         if len(trace) > cap:
             raise RuntimeError("heuristic exceeded its move budget; this is a bug")
+        if deadline is not None and time.perf_counter() > deadline:
+            return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
         j = None
         for t in range(floor, big_j):
             if type1_eligible(k, t):
@@ -105,6 +113,8 @@ def run_p1(inst: Instance, eps_b: float = EPS_B,
                 j2 = next((t for t in range(max(0, j2 - 1), big_j) if type2_eligible(k, t)), None)
                 if j2 is None:
                     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
+                if deadline is not None and time.perf_counter() > deadline:
+                    return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
                 if j2 < floor:
                     floor = j2
                 k[j2] += 1

@@ -117,7 +117,7 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    status: str  # optimal | feasible | infeasible | timeout-with-incumbent | timeout-none
+    status: str  # optimal | infeasible | timeout-with-incumbent
     incumbent: Policy | None
     wq: float | None
     proof: bool
@@ -422,8 +422,8 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     Always starts by testing the two extreme policies: the all-late one
     decides feasibility of the whole instance and seeds the incumbent, and a
     feasible all-early one is optimal outright.  With hybrid set, the
-    heuristic walk runs next and its result tightens the incumbent before
-    any shaving or search.
+    heuristic walk runs next, under the same deadline, and its result
+    tightens the incumbent before any shaving or search.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -455,10 +455,12 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         inc.consider(early, wq, cfg.eps_wq)
         return SolveResult("optimal", inc.policy, inc.wq, True, trace, stats)
     if cfg.hybrid:
-        hres = run_p1(inst, eps_b=cfg.eps_b)
+        hres = run_p1(inst, eps_b=cfg.eps_b, deadline=deadline)
         stats.evaluations += hres.steps
-        if hres.status == "solved":
+        if hres.policy is not None:
             inc.consider(hres.policy, hres.wq, cfg.eps_wq)
+        if hres.status == "timeout":
+            return SolveResult("timeout-with-incumbent", inc.policy, inc.wq, False, trace, stats)
     store = DomainStore.initial(inst)
     search_cuts = cuts if cfg.dominance else None
     try:

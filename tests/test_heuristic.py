@@ -1,10 +1,13 @@
 """Heuristic walk tests: the frozen canonical trace plus random soundness."""
 
 import random
+import time
+from types import SimpleNamespace
 
 from conftest import EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
+from switchq import heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
-from switchq.core import min_wait_policy
+from switchq.core import EPS_B, max_backroom_policy, min_wait_policy
 from switchq.heuristic import type1_eligible, type2_eligible
 
 # every policy the walk evaluates on EXAMPLE, in order, with its move label
@@ -68,6 +71,37 @@ def test_infeasible_instance_detected_at_start():
     assert res.status == "infeasible"
     assert res.policy is None and res.wq is None
     assert res.steps == 1
+
+
+def test_past_deadline_stops_after_first_evaluation():
+    res = run_p1(EXAMPLE, deadline=time.perf_counter() - 1.0)
+    assert res.status == "timeout" and res.steps == 1
+    assert res.policy == max_backroom_policy(EXAMPLE)
+    assert res.wq == res.trace[0].Wq
+
+
+def test_deadline_cuts_the_walk_after_any_step(monkeypatch):
+    # a clock that ticks once per reading: with deadline d the walk makes d
+    # checks in time, so it stops after exactly d + 1 evaluations, inside a
+    # repair as well as between moves
+    rng = random.Random(17)
+    for inst in [EXAMPLE] + [random_instance(rng, 4, 12) for _ in range(10)]:
+        full = run_p1(inst)
+        if full.status == "infeasible":
+            continue
+        target = inst.Bl - EPS_B
+        for d in range(full.steps - 1):
+            ticks = iter(range(1, full.steps + 1))
+            monkeypatch.setattr(heuristic, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+            res = run_p1(inst, deadline=d)
+            monkeypatch.undo()
+            assert res.status == "timeout" and res.steps == d + 1
+            assert res.trace == full.trace[:d + 1]
+            best = res.trace[0]
+            for step in res.trace[1:]:
+                if step.B >= target and step.Wq < best.Wq - heuristic.IMPROVE_EPS:
+                    best = step
+            assert (res.policy, res.wq) == (best.policy, best.Wq)
 
 
 def test_random_walks_terminate_and_return_feasible():

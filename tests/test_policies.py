@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import EXAMPLE, OPT_POLICY, WQ_OPT, random_instance
+from conftest import EXAMPLE, OPT_POLICY, WQ_OPT, random_instance, random_policy
 from switchq import (ENUMERATION_LIMIT, Instance, brute_force_optimum,
                      evaluate_direct, is_feasible, iter_policies,
                      max_backroom_policy, min_wait_policy, policy_count)
-from switchq.core import validate_policy
+from switchq.core import EPS_B, _direct_b_wq, validate_policy
 
 
 def test_policy_count_matches_enumeration():
@@ -65,3 +65,49 @@ def test_brute_force_refuses_huge_spaces():
     assert policy_count(inst) > ENUMERATION_LIMIT
     with pytest.raises(ValueError, match="enumeration limit"):
         brute_force_optimum(inst)
+
+
+def _scalar_brute_force(inst, eps_b=EPS_B):
+    """The one-policy-at-a-time judge: the direct recursion on every policy
+    in lexicographic order, keeping strict improvements only."""
+    target = inst.Bl - eps_b
+    best, best_wq = None, math.inf
+    for pol in iter_policies(inst):
+        b, wq = _direct_b_wq(inst, pol)
+        if b >= target and wq < best_wq:
+            best, best_wq = pol, wq
+    return None if best is None else (best, best_wq)
+
+
+def _knife_edge(rng, inst):
+    """The instance with Bl set to the direct recursion's B of a random policy."""
+    b, _ = _direct_b_wq(inst, random_policy(rng, inst))
+    return Instance(S=inst.S, N=inst.N, lam=inst.lam, mu=inst.mu, Bl=b)
+
+
+def test_brute_force_matches_scalar_reference():
+    rng = random.Random(29)
+    cases = [(random_instance(rng, 2, 12), EPS_B) for _ in range(200)]
+    for _ in range(60):
+        cases.append((_knife_edge(rng, random_instance(rng, 2, 12)), rng.choice((0.0, EPS_B))))
+    # spaces that span many screening blocks
+    cases += [(Instance(S=40, N=4, lam=6.0, mu=1.5, Bl=1.0), EPS_B),
+              (_knife_edge(rng, Instance(S=40, N=3, lam=6.0, mu=1.5, Bl=1.0)), 0.0)]
+    for s in (1, 2, 9, 30):
+        cases += [(Instance(S=s, N=1, lam=3.0, mu=1.0, Bl=0.2), EPS_B),
+                  (Instance(S=s, N=s, lam=3.0, mu=1.0, Bl=0.2), EPS_B)]
+    # every state past k_0 + 1 underflows, so all policies sharing k_0 tie
+    # exactly and only the tie rule picks the answer
+    cases.append((Instance(S=8, N=3, lam=1e-200, mu=1.0, Bl=1.0), EPS_B))
+    wide = Instance(S=1000, N=1, lam=1.9, mu=1.0, Bl=0.1)
+    assert wide.S * math.log(wide.lam / wide.mu) > 600
+    cases += [(wide, EPS_B), (_knife_edge(rng, wide), 0.0)]
+    feasible = 0
+    for inst, eps_b in cases:
+        want = _scalar_brute_force(inst, eps_b)
+        got = brute_force_optimum(inst, eps_b=eps_b)
+        assert got == want, inst
+        if got is not None:
+            feasible += 1
+            assert all(type(v) is int for v in got[0]) and type(got[1]) is float
+    assert feasible > len(cases) // 2

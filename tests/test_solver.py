@@ -306,6 +306,14 @@ def test_timeout_returns_the_incumbent(tall_suite):
     assert res.status == "timeout-with-incumbent" and not res.proof
 
 
+def test_hybrid_honors_the_deadline():
+    # the two extreme policies, then one heuristic step before the deadline check
+    res = solve(EXAMPLE, SolverConfig(hybrid=True, time_limit=0.0))
+    assert res.status == "timeout-with-incumbent" and not res.proof
+    assert res.incumbent == max_backroom_policy(EXAMPLE)
+    assert res.stats.evaluations == 3
+
+
 def test_solve_is_deterministic():
     a = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave", dominance=True))
     b = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave", dominance=True))
