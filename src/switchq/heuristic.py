@@ -13,7 +13,8 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import EPS_B, Instance, Policy, _fast_eval, max_backroom_policy, validate_instance
+from .core import (EPS_B, LOWERED_BATCH, Instance, Policy, _fast_workspace,
+                   max_backroom_policy, validate_instance)
 
 IMPROVE_EPS = 1e-12
 
@@ -44,7 +45,7 @@ class HeuristicResult:
                              # passed mid-walk and policy is the best feasible seen
     policy: Policy | None
     wq: float | None
-    steps: int               # policy evaluations performed
+    steps: int               # policies evaluated along the walk, len(trace)
     trace: list[HeuristicStep] = field(default_factory=list)
 
 
@@ -53,7 +54,7 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     """Run the heuristic and return the best feasible policy it visits.
 
     deadline is a ``time.perf_counter()`` reading.  It is checked before
-    every evaluation after the first; once it has passed, the walk stops with
+    every step after the first; once it has passed, the walk stops with
     status "timeout" and the best feasible policy seen so far.
 
     Follows the published steps with the J guard: only indices below J may
@@ -68,59 +69,86 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     s, n = inst.S, inst.N
     k = list(max_backroom_policy(inst))
     trace: list[HeuristicStep] = []
-    evaluate = _fast_eval(inst)
+    record = trace.append
+    ws = _fast_workspace(inst)
+    evaluate, lowered = ws.b_wq, ws.b_wq_lowered
     dec_label = [f"dec k{t}" for t in range(n)]
     inc_label = [f"inc k{t}" for t in range(n)]
 
-    def look(action: str, moved: int = -1) -> tuple[float, float]:
-        pol = tuple(k)
-        b, wq = evaluate(pol, moved)
-        trace.append(HeuristicStep(pol, b, wq, action))
-        return b, wq
-
     target = inst.Bl - eps_b
-    b, wq = look("start")
+    pol = tuple(k)
+    b, wq = evaluate(pol)
+    record(HeuristicStep(pol, b, wq, "start"))
     if b < target:
         return HeuristicResult("infeasible", None, None, len(trace), trace)
-    best_pol, best_wq = tuple(k), wq
+    best_pol, best_wq = pol, wq
     big_j = n
     # Indices below floor cannot move down: a decrement at j leaves the gaps
     # below j alone, and a repair that moves k_j back up reopens only index j,
     # so the downward scan never needs to revisit anything smaller.
     floor = 0
     cap = 20 * (n + 1) * (s + 2) + 100
+    # A feasible decrement at j is followed by another one at j while the
+    # gap below k_j stays open, and long walks are mostly such runs.  From
+    # the second decrement of a run on, the rest of the run is evaluated in
+    # one batch; ahead holds the (B, Wq) not yet taken, next one last.  It
+    # is dropped when a decrement breaks the requirement.  Once the walk
+    # has taken a batched value, the workspace no longer holds the walk's
+    # last policy, so the next b_wq call passes no move hint.  Workspaces
+    # without a batch route have lowered set to None.
+    run = -1                 # index of the last decrement, while it was feasible
+    ahead: list[tuple[float, float]] = []
+    synced = True
+    # the eligibility tests are inlined in the scans below: this loop runs
+    # thousands of times per walk at S near 100
     while True:
         if len(trace) > cap:
             raise RuntimeError("heuristic exceeded its move budget; this is a bug")
         if deadline is not None and time.perf_counter() > deadline:
             return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
-        j = None
-        for t in range(floor, big_j):
-            if type1_eligible(k, t):
-                j = t
+        for j in range(floor, big_j):
+            if (k[j] - k[j - 1] if j else k[0] + 1) > 1:
                 break
-        if j is None:
+        else:
             break
         floor = j
+        if j == run and not ahead and j > 0 and k[j] - k[j - 1] > 2 and lowered is not None:
+            ahead = lowered(tuple(k), j, min(k[j] - k[j - 1] - 1, LOWERED_BATCH))
+            ahead.reverse()
         k[j] -= 1
-        b, wq = look(dec_label[j], j)
+        pol = tuple(k)
+        if ahead:
+            b, wq = ahead.pop()
+            synced = False
+        else:
+            b, wq = evaluate(pol, j if synced else -1)
+            synced = True
+        record(HeuristicStep(pol, b, wq, dec_label[j]))
+        run = j
         if b < target:
+            run = -1
+            ahead = []
             big_j = j
             # raising k_{j2} widens only the gap below it, so every index
             # below j2 - 1 stays stuck and the next scan starts at j2 - 1
             j2 = 0
             while True:
-                j2 = next((t for t in range(max(0, j2 - 1), big_j) if type2_eligible(k, t)), None)
-                if j2 is None:
+                for j2 in range(max(0, j2 - 1), big_j):
+                    if k[j2 + 1] - k[j2] > 1:
+                        break
+                else:
                     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
                 if deadline is not None and time.perf_counter() > deadline:
                     return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
                 if j2 < floor:
                     floor = j2
                 k[j2] += 1
-                b, wq = look(inc_label[j2], j2)
+                pol = tuple(k)
+                b, wq = evaluate(pol, j2 if synced else -1)
+                synced = True
+                record(HeuristicStep(pol, b, wq, inc_label[j2]))
                 if b >= target:
                     break
         if wq < best_wq - improve_eps:
-            best_pol, best_wq = tuple(k), wq
+            best_pol, best_wq = pol, wq
     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
