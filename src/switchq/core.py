@@ -35,7 +35,6 @@ _NEAR_ONE_TOL_FM = 1e-3  # wider window for the first moment (quadratic cancella
 _LOG_SPACE_LIMIT = 300.0  # exponent * |ln ratio| beyond this: work with logarithms
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
-LOWERED_BATCH = 32      # most policies one b_wq_lowered call evaluates
 
 Policy = tuple[int, ...]
 
@@ -200,18 +199,6 @@ def _ones_t(s: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _stairs(s: int) -> np.ndarray:
-    """stairs[r, x] is true for s - r <= x <= s.  Sliced at an offset, row r
-    marks the r + 1 states that lowering a switching point by r + 1 moves.
-    Read-only, shared."""
-    x = np.arange(2 * s + 1)
-    r = np.arange(LOWERED_BATCH)[:, None]
-    out = (x >= s - r) & (x <= s)
-    out.flags.writeable = False
-    return out
-
-
 class _Workspace:
     """Reusable buffers for ``evaluate_b_wq`` on one instance in one thread.
 
@@ -224,17 +211,16 @@ class _Workspace:
     single state, so most calls patch one entry instead of refilling the
     buffer.  A caller that moved exactly one switching point by one step
     since its previous call here may pass that point's index as ``moved``,
-    which skips the scan for it.  ``b_wq_lowered`` evaluates a whole run of
-    decrements of one switching point in a single batch.
+    which skips the scan for it.
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "ones_t", "step_buf", "q_buf",
-                 "views", "last", "stairs")
+                 "views", "last")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
         self.rs = self.lam / (np.arange(1.0, self.n + 1.0) * self.mu)
-        self.ones_t, self.stairs = _ones_t(self.s), _stairs(self.s)
+        self.ones_t = _ones_t(self.s)
         self.step_buf = np.empty(self.s + 1)
         self.q_buf = np.empty(self.s + 1)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
@@ -287,34 +273,6 @@ class _Workspace:
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
         return self.n - f, wq
 
-    def b_wq_lowered(self, pol: Policy, j: int, count: int) -> list[tuple[float, float]]:
-        """b_wq of pol with k_j lowered by 1, 2, ..., count, in that order.
-
-        Needs 0 < j < N, count <= LOWERED_BATCH and k_j - count > k_{j-1}.
-        The numbers are b_wq's own: row r of the batch holds the ratios of
-        the policy lowered by r + 1, the products along a row are the same
-        products, and matmul takes each row's sums with the same
-        vector-matrix product that b_wq's np.dot makes.  The workspace stays
-        synced to pol.
-        """
-        self._sync(pol, -1)
-        k0, m = pol[0], self.s - pol[0]
-        off = self.s - (pol[j] - k0 - 1)    # lines stairs up with the column of k_j
-        steps = np.where(self.stairs[:count, off:off + m], self.rs[j], self.step_buf[k0 + 1:])
-        q = np.multiply.accumulate(steps, axis=1)
-        sums = np.matmul(q[:, None, :], self.ones_t[k0 + 1:])[:, 0].tolist()
-        out = []
-        for (mass, moment), q_s in zip(sums, q[:, m - 1].tolist()):
-            # b_wq's tail, expression for expression
-            tot = 1.0 + mass
-            p_s = q_s / tot
-            big_l = (k0 + moment) / tot
-            f = self.lam / self.mu * (1.0 - p_s)
-            admitted = self.lam * (1.0 - p_s)
-            wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-            out.append((self.n - f, wq))
-        return out
-
 
 class _ModeWorkspace(_Workspace):
     """Workspace whose product is anchored at the mode, for wide instances.
@@ -354,9 +312,6 @@ class _ModeWorkspace(_Workspace):
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
         return self.n - f, wq
 
-    # no batch: lowering k_j can move the mode, and with it each row's anchor
-    b_wq_lowered = None
-
 
 @lru_cache(maxsize=32)
 def _workspace(inst: Instance, thread: int) -> _Workspace:
@@ -366,14 +321,14 @@ def _workspace(inst: Instance, thread: int) -> _Workspace:
     return _Workspace(inst)
 
 
-def _fast_workspace(inst: Instance) -> _Workspace:
-    """The calling thread's workspace for inst.
+def _fast_eval(inst: Instance):
+    """The calling thread's bound vectorized evaluator for inst.
 
-    Lets tight loops skip the per-call cache lookup in evaluate_b_wq, pass
-    b_wq's ``moved`` hint and call b_wq_lowered.  Every instance has one:
-    wide instances get the mode-anchored workspace.
+    Lets tight loops skip the per-call cache lookup in evaluate_b_wq and pass
+    b_wq's ``moved`` hint.  Every instance has one: wide instances get the
+    mode-anchored workspace.
     """
-    return _workspace(inst, get_ident())
+    return _workspace(inst, get_ident()).b_wq
 
 
 # ---------------------------------------------------------------------------

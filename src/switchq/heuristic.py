@@ -13,8 +13,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import (EPS_B, LOWERED_BATCH, Instance, Policy, _fast_workspace,
-                   max_backroom_policy, validate_instance)
+from .core import EPS_B, Instance, Policy, _fast_eval, max_backroom_policy, validate_instance
 
 IMPROVE_EPS = 1e-12
 
@@ -45,7 +44,7 @@ class HeuristicResult:
                              # passed mid-walk and policy is the best feasible seen
     policy: Policy | None
     wq: float | None
-    steps: int               # policies evaluated along the walk, len(trace)
+    steps: int               # policy evaluations performed
     trace: list[HeuristicStep] = field(default_factory=list)
 
 
@@ -54,7 +53,7 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     """Run the heuristic and return the best feasible policy it visits.
 
     deadline is a ``time.perf_counter()`` reading.  It is checked before
-    every step after the first; once it has passed, the walk stops with
+    every evaluation after the first; once it has passed, the walk stops with
     status "timeout" and the best feasible policy seen so far.
 
     Follows the published steps with the J guard: only indices below J may
@@ -70,8 +69,7 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     k = list(max_backroom_policy(inst))
     trace: list[HeuristicStep] = []
     record = trace.append
-    ws = _fast_workspace(inst)
-    evaluate, lowered = ws.b_wq, ws.b_wq_lowered
+    evaluate = _fast_eval(inst)
     dec_label = [f"dec k{t}" for t in range(n)]
     inc_label = [f"inc k{t}" for t in range(n)]
 
@@ -88,53 +86,29 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     # so the downward scan never needs to revisit anything smaller.
     floor = 0
     cap = 20 * (n + 1) * (s + 2) + 100
-    # A feasible decrement at j is followed by another one at j while the
-    # gap below k_j stays open, and long walks are mostly such runs.  From
-    # the second decrement of a run on, the rest of the run is evaluated in
-    # one batch; ahead holds the (B, Wq) not yet taken, next one last.  It
-    # is dropped when a decrement breaks the requirement.  Once the walk
-    # has taken a batched value, the workspace no longer holds the walk's
-    # last policy, so the next b_wq call passes no move hint.  Workspaces
-    # without a batch route have lowered set to None.
-    run = -1                 # index of the last decrement, while it was feasible
-    ahead: list[tuple[float, float]] = []
-    synced = True
-    # the eligibility tests are inlined in the scans below: this loop runs
-    # thousands of times per walk at S near 100
     while True:
         if len(trace) > cap:
             raise RuntimeError("heuristic exceeded its move budget; this is a bug")
         if deadline is not None and time.perf_counter() > deadline:
             return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
         for j in range(floor, big_j):
-            if (k[j] - k[j - 1] if j else k[0] + 1) > 1:
+            if type1_eligible(k, j):
                 break
         else:
             break
         floor = j
-        if j == run and not ahead and j > 0 and k[j] - k[j - 1] > 2 and lowered is not None:
-            ahead = lowered(tuple(k), j, min(k[j] - k[j - 1] - 1, LOWERED_BATCH))
-            ahead.reverse()
         k[j] -= 1
         pol = tuple(k)
-        if ahead:
-            b, wq = ahead.pop()
-            synced = False
-        else:
-            b, wq = evaluate(pol, j if synced else -1)
-            synced = True
+        b, wq = evaluate(pol, j)
         record(HeuristicStep(pol, b, wq, dec_label[j]))
-        run = j
         if b < target:
-            run = -1
-            ahead = []
             big_j = j
             # raising k_{j2} widens only the gap below it, so every index
             # below j2 - 1 stays stuck and the next scan starts at j2 - 1
             j2 = 0
             while True:
                 for j2 in range(max(0, j2 - 1), big_j):
-                    if k[j2 + 1] - k[j2] > 1:
+                    if type2_eligible(k, j2):
                         break
                 else:
                     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
@@ -144,8 +118,7 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
                     floor = j2
                 k[j2] += 1
                 pol = tuple(k)
-                b, wq = evaluate(pol, j2 if synced else -1)
-                synced = True
+                b, wq = evaluate(pol, j2)
                 record(HeuristicStep(pol, b, wq, inc_label[j2]))
                 if b >= target:
                     break

@@ -14,8 +14,8 @@ from conftest import (EXAMPLE, GOLDEN_B_WQ, log_space_pair, near_unit_pair,
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, validate_instance, validate_policy)
-from switchq.core import (LOWERED_BATCH, _geom_first_moment, _geom_sum, _ModeWorkspace,
-                          _needs_log_space, _workspace)
+from switchq.core import (_geom_first_moment, _geom_sum, _ModeWorkspace, _needs_log_space,
+                          _workspace)
 
 
 def test_validate_instance_accepts_example():
@@ -205,33 +205,6 @@ def test_evaluate_b_wq_matches_full_metrics():
         for m in (evaluate_closed_form(inst, pol), evaluate_direct(inst, pol)):
             assert rel_close(b, m.B, 1e-11)
             assert rel_close(wq, m.Wq, 1e-11)
-
-
-def test_lowered_batch_is_b_wq_bit_for_bit():
-    # the heuristic mixes batched and single evaluations in one trace, which
-    # must read as if every policy had gone through evaluate_b_wq
-    rng = random.Random(43)
-    checked = 0
-    for _ in range(400):
-        inst = random_instance(rng, 3, 120)
-        ws = _workspace(inst, threading.get_ident())
-        if ws.b_wq_lowered is None or inst.N < 2:
-            continue
-        pol = random_policy(rng, inst)
-        j = rng.randrange(1, inst.N)
-        room = pol[j] - pol[j - 1] - 1
-        if room < 1:
-            continue
-        count = rng.randint(1, min(room, LOWERED_BATCH))
-        ws.b_wq(random_policy(rng, inst))   # leave the workspace elsewhere
-        got = ws.b_wq_lowered(pol, j, count)
-        assert ws.last == pol
-        k = list(pol)
-        for b_wq in got:
-            k[j] -= 1
-            assert b_wq == evaluate_b_wq(inst, tuple(k)), (inst, pol, j, k)
-            checked += 1
-    assert checked > 300
 
 
 def _mode_index(inst: Instance) -> int:
