@@ -30,8 +30,10 @@ from .core import EPS_B, Instance, Policy, _direct_b_wq, validate_instance
 
 ENUMERATION_LIMIT = 10_000_000
 
-# policies * (S + 1) per screening block; bounds the memory a block takes
-_BLOCK_ELEMENTS = 1 << 10
+# policies * (S + 1) per screening block; bounds the memory a block takes.
+# The per-block cost is mostly fixed numpy call overhead, so the judge's
+# speed grows almost in proportion to this budget (see ROADMAP, Direction 4).
+_BLOCK_ELEMENTS = 1 << 9
 
 
 def policy_count(inst: Instance) -> int:
