@@ -17,7 +17,7 @@ from .core import (Instance, evaluate_b_wq, evaluate_closed_form, evaluate_direc
 from .heuristic import run_p1
 from .instances import GenSpec, generate, read_instances, write_instances
 from .policies import brute_force_optimum, policy_count
-from .solver import STRATEGIES, SolverConfig, solve
+from .solver import STRATEGIES, SolverConfig, check_time_limit, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,12 +73,13 @@ def _run_pair(task: tuple[int, Instance, str, float]) -> tuple[SuiteRecord, list
     idx, inst, method, time_limit = task
     t0 = time.perf_counter()
     if method == "p1":
-        res = run_p1(inst)
+        res = run_p1(inst, deadline=None if time_limit is None else t0 + time_limit)
         elapsed = time.perf_counter() - t0
         if res.status == "infeasible":
             return SuiteRecord(idx, method, "infeasible", None, False, elapsed, 0,
                                res.steps), []
-        rec = SuiteRecord(idx, method, "feasible", res.wq, False, elapsed, 0, res.steps)
+        status = "timeout-with-incumbent" if res.status == "timeout" else "feasible"
+        rec = SuiteRecord(idx, method, status, res.wq, False, elapsed, 0, res.steps)
         return rec, [TracePoint(idx, method, elapsed, res.wq)]
     cfg = SolverConfig(strategy="alt-search-shave" if method == "hybrid" else method,
                        hybrid=method == "hybrid", time_limit=time_limit)
@@ -93,6 +94,9 @@ def _run_pair(task: tuple[int, Instance, str, float]) -> tuple[SuiteRecord, list
 def run_suite(instances, methods, time_limit, workers: int = 1
               ) -> tuple[list[SuiteRecord], list[TracePoint]]:
     """Run every method on every instance; collection order is deterministic."""
+    check_time_limit(time_limit)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     for m in methods:
         if m not in BENCH_METHODS:
             raise ValueError(f"unknown method {m!r}; pick from {BENCH_METHODS}")
@@ -279,9 +283,12 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance_file, args.index)
-    cfg = SolverConfig(strategy=args.strategy, dominance=args.dominance,
-                       hybrid=args.hybrid, time_limit=args.time_limit)
-    res = solve(inst, cfg)
+    cfg = SolverConfig(strategy=args.strategy, hybrid=args.hybrid,
+                       time_limit=args.time_limit)
+    try:
+        res = solve(inst, cfg)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     if res.status == "infeasible":
         print("infeasible")
         return EXIT_INFEASIBLE
@@ -376,7 +383,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--instance-file", required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--dominance", action="store_true")
     p.add_argument("--hybrid", action="store_true")
     p.add_argument("--time-limit", type=float, default=600.0, metavar="SECONDS")
     p.set_defaults(func=_cmd_solve)

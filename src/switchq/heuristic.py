@@ -48,8 +48,7 @@ class HeuristicResult:
     trace: list[HeuristicStep] = field(default_factory=list)
 
 
-def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EPS,
-           deadline: float | None = None) -> HeuristicResult:
+def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
     """Run the heuristic and return the best feasible policy it visits.
 
     deadline is a ``time.perf_counter()`` reading.  It is checked before
@@ -73,7 +72,7 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
     dec_label = [f"dec k{t}" for t in range(n)]
     inc_label = [f"inc k{t}" for t in range(n)]
 
-    target = inst.Bl - eps_b
+    target = inst.Bl - EPS_B
     pol = tuple(k)
     b, wq = evaluate(pol)
     record(HeuristicStep(pol, b, wq, "start"))
@@ -122,6 +121,6 @@ def run_p1(inst: Instance, eps_b: float = EPS_B, improve_eps: float = IMPROVE_EP
                 record(HeuristicStep(pol, b, wq, inc_label[j2]))
                 if b >= target:
                     break
-        if wq < best_wq - improve_eps:
+        if wq < best_wq - IMPROVE_EPS:
             best_pol, best_wq = pol, wq
     return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)

@@ -6,14 +6,12 @@ variable downward gives the smallest waiting time in the box, completing
 upward gives the largest back-room coverage.  Probing one variable at an end
 of its domain and completing the rest therefore either proves that end value
 useless (a shave) or produces a feasible policy worth recording.  Search
-branches over the shaved box with the same corner bounds as pruning rules,
-optionally tightened by dominance cuts derived from incumbents.
+branches over the shaved box with the same corner bounds as pruning rules.
 """
 
 import math
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (EPS_B, Instance, Policy, evaluate_b_wq, max_backroom_policy,
                    min_wait_policy, validate_instance)
@@ -90,17 +88,17 @@ class SearchStats:
 
 @dataclass
 class Incumbent:
-    """Best feasible policy seen so far, with an update hook."""
+    """Best feasible policy seen so far, with the trace of its improvements."""
 
     policy: Policy | None = None
     wq: float = math.inf
-    on_update: Callable[[Policy, float], None] | None = None
+    start: float = field(default_factory=time.perf_counter)
+    trace: list[tuple[float, float]] = field(default_factory=list)  # (elapsed s, wq)
 
-    def consider(self, pol: Policy, wq: float, eps: float = EPS_WQ) -> bool:
-        if wq < self.wq - eps:
+    def consider(self, pol: Policy, wq: float) -> bool:
+        if wq < self.wq - EPS_WQ:
             self.policy, self.wq = pol, wq
-            if self.on_update is not None:
-                self.on_update(pol, wq)
+            self.trace.append((time.perf_counter() - self.start, wq))
             return True
         return False
 
@@ -108,11 +106,8 @@ class Incumbent:
 @dataclass
 class SolverConfig:
     strategy: str = "alt-search-shave"
-    dominance: bool = False
     hybrid: bool = False
-    time_limit: float | None = 600.0
-    eps_b: float = EPS_B
-    eps_wq: float = EPS_WQ
+    time_limit: float | None = 600.0  # seconds; None or inf for no limit
 
 
 @dataclass
@@ -123,6 +118,13 @@ class SolveResult:
     proof: bool
     incumbent_trace: list[tuple[float, float]]  # (elapsed seconds, wq)
     stats: SearchStats
+
+
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a time limit that is NaN or negative; None and inf mean none."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be None or a nonnegative number of seconds, "
+                         f"got {time_limit!r}")
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -191,7 +193,7 @@ def gmax(inst: Instance, store: DomainStore, fixed: dict[int, int] | None = None
 
 
 def bl_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
-                  stats: SearchStats, eps_b: float = EPS_B, eps_wq: float = EPS_WQ) -> str:
+                  stats: SearchStats) -> str:
     """One requirement probe at k_i = hi_i with everything else minimal.
 
     A feasible completion is the cheapest-wait policy using that top value,
@@ -204,8 +206,8 @@ def bl_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     if pol is None:
         return "stuck"
     b, wq = _eval(inst, pol, stats)
-    if b >= inst.Bl - eps_b:
-        inc.consider(pol, wq, eps_wq)
+    if b >= inst.Bl - EPS_B:
+        inc.consider(pol, wq)
         if store.hi[i] - 1 >= store.lo[i]:
             store.shrink_hi(i, store.hi[i] - 1)
             return "shaved"
@@ -214,7 +216,7 @@ def bl_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
 
 
 def bl_gmax_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
-                  stats: SearchStats, eps_b: float = EPS_B, eps_wq: float = EPS_WQ) -> str:
+                  stats: SearchStats) -> str:
     """One requirement probe at k_i = lo_i with everything else maximal.
 
     The completion carries the most back-room coverage available to that
@@ -227,8 +229,8 @@ def bl_gmax_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     if pol is None:
         return "stuck"
     b, wq = _eval(inst, pol, stats)
-    if b >= inst.Bl - eps_b:
-        inc.consider(pol, wq, eps_wq)
+    if b >= inst.Bl - EPS_B:
+        inc.consider(pol, wq)
         return "stuck"
     if store.lo[i] + 1 <= store.hi[i]:
         store.raise_lo(i, store.lo[i] + 1)
@@ -237,7 +239,7 @@ def bl_gmax_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
 
 
 def wq_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
-                  stats: SearchStats, eps_wq: float = EPS_WQ) -> str:
+                  stats: SearchStats) -> str:
     """One waiting-time probe at k_i = hi_i; the requirement is ignored.
 
     The completion is the best wait available to that top value, so a
@@ -248,7 +250,7 @@ def wq_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     if pol is None:
         return "stuck"
     _, wq = _eval(inst, pol, stats)
-    if wq >= inc.wq - eps_wq:
+    if wq >= inc.wq - EPS_WQ:
         if store.hi[i] - 1 >= store.lo[i]:
             store.shrink_hi(i, store.hi[i] - 1)
             return "shaved"
@@ -256,107 +258,54 @@ def wq_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     return "stuck"
 
 
-def bl_shave(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
-             eps_b: float = EPS_B, eps_wq: float = EPS_WQ,
-             deadline: float | None = None) -> str:
-    """Shave every variable from both ends against the back-room requirement.
-
-    Visits variables in index order, repeating a variable while it keeps
-    shaving, until a full pass changes nothing.  Returns "fixpoint", or
-    "proof" when the box provably holds nothing better than the incumbent.
+def _shave(probes, inst: Instance, store: DomainStore, inc: Incumbent,
+           stats: SearchStats, deadline: float | None) -> str:
+    """Run the probes at every variable in index order, repeating each probe
+    while it keeps shaving, until a full pass changes nothing.  Returns
+    "fixpoint", or "proof" when the box provably holds nothing better than
+    the incumbent.
     """
     while True:
         changed = False
         for i in range(inst.N):
             if store.failed:
                 return "proof"
-            while True:
-                _check_deadline(deadline)
-                out = bl_gmin_probe(inst, store, i, inc, stats, eps_b, eps_wq)
-                if out == "shaved":
+            for probe in probes:
+                while True:
+                    _check_deadline(deadline)
+                    out = probe(inst, store, i, inc, stats)
+                    if out == "proof":
+                        return "proof"
+                    if out != "shaved":
+                        break
                     changed = True
-                    continue
-                if out == "proof":
-                    return "proof"
-                break
-            while True:
-                _check_deadline(deadline)
-                out = bl_gmax_probe(inst, store, i, inc, stats, eps_b, eps_wq)
-                if out == "shaved":
-                    changed = True
-                    continue
-                if out == "proof":
-                    return "proof"
-                break
         if not changed:
             return "fixpoint"
+
+
+def bl_shave(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
+             deadline: float | None = None) -> str:
+    """Shave every variable from both ends against the back-room requirement."""
+    return _shave((bl_gmin_probe, bl_gmax_probe), inst, store, inc, stats, deadline)
 
 
 def wq_shave(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
-             eps_wq: float = EPS_WQ, deadline: float | None = None) -> str:
+             deadline: float | None = None) -> str:
     """Shave upper ends against the incumbent's waiting time."""
-    while True:
-        changed = False
-        for i in range(inst.N):
-            if store.failed:
-                return "proof"
-            while True:
-                _check_deadline(deadline)
-                out = wq_gmin_probe(inst, store, i, inc, stats, eps_wq)
-                if out == "shaved":
-                    changed = True
-                    continue
-                if out == "proof":
-                    return "proof"
-                break
-        if not changed:
-            return "fixpoint"
+    return _shave((wq_gmin_probe,), inst, store, inc, stats, deadline)
 
 
 def alternating_shave(inst: Instance, store: DomainStore, inc: Incumbent,
-                      stats: SearchStats, eps_b: float = EPS_B, eps_wq: float = EPS_WQ,
-                      deadline: float | None = None) -> str:
+                      stats: SearchStats, deadline: float | None = None) -> str:
     """Alternate the two shaves until neither moves a bound."""
     while True:
         before = store.snapshot()
-        if bl_shave(inst, store, inc, stats, eps_b, eps_wq, deadline) == "proof":
+        if bl_shave(inst, store, inc, stats, deadline) == "proof":
             return "proof"
-        if wq_shave(inst, store, inc, stats, eps_wq, deadline) == "proof":
+        if wq_shave(inst, store, inc, stats, deadline) == "proof":
             return "proof"
         if store.snapshot() == before:
             return "fixpoint"
-
-
-# ---------------------------------------------------------------------------
-# dominance cuts
-
-
-def record_dominance(pol: Policy, n: int) -> tuple[int, tuple[int, ...]] | None:
-    """Cut derived from a feasible policy whose prefix sits at the minimum.
-
-    Returns (start, values): any strictly better policy must take some k_i
-    below values[i - start] for i >= start.  Returns None for the all-early
-    policy, which leaves nothing to cut.
-    """
-    j = next((i for i in range(n) if pol[i] > i), None)
-    if j is None:
-        return None
-    return j, tuple(pol[j:n])
-
-
-def _dominance_blocked(ks: list[int], depth: int, store: DomainStore,
-                       cuts: list[tuple[int, tuple[int, ...]]]) -> bool:
-    """True when some cut is unsatisfiable everywhere in the node's box."""
-    for start, values in cuts:
-        satisfied = True
-        for i in range(start, len(store.lo)):
-            mn = ks[i] if i < depth else store.lo[i]
-            if mn < values[i - start]:
-                satisfied = False
-                break
-        if satisfied:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +313,13 @@ def _dominance_blocked(ks: list[int], depth: int, store: DomainStore,
 
 
 def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
-           cuts: list[tuple[int, tuple[int, ...]]] | None = None,
-           eps_b: float = EPS_B, eps_wq: float = EPS_WQ,
            deadline: float | None = None, restart_on_improve: bool = False) -> None:
     """Depth-first assignment of k_0..k_{N-1}, smallest values first.
 
-    A subtree is pruned when its upward corner misses the requirement, its
-    downward corner cannot improve the incumbent, or a dominance cut spans
-    it.  Counts every visited node in stats.  Raises SolveTimeout at the
-    deadline, and _Improved instead of continuing when restart_on_improve is
-    set and the incumbent improves.
+    A subtree is pruned when its upward corner misses the requirement or its
+    downward corner cannot improve the incumbent.  Counts every visited node
+    in stats.  Raises SolveTimeout at the deadline, and _Improved instead of
+    continuing when restart_on_improve is set and the incumbent improves.
     """
     if store.failed:
         return
@@ -386,7 +332,7 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
         if depth == n:
             pol = tuple(ks) + (s,)
             b, wq = _eval(inst, pol, stats)
-            if b >= inst.Bl - eps_b and inc.consider(pol, wq, eps_wq) and restart_on_improve:
+            if b >= inst.Bl - EPS_B and inc.consider(pol, wq) and restart_on_improve:
                 raise _Improved
             return
         fixed = {t: ks[t] for t in range(depth)}
@@ -394,15 +340,13 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
         if corner is None:
             return
         b, _ = _eval(inst, corner, stats)
-        if b < inst.Bl - eps_b:
+        if b < inst.Bl - EPS_B:
             return
         corner = gmin(inst, store, fixed)
         if corner is None:
             return
         _, wq = _eval(inst, corner, stats)
-        if wq >= inc.wq - eps_wq:
-            return
-        if cuts and _dominance_blocked(ks, depth, store, cuts):
+        if wq >= inc.wq - EPS_WQ:
             return
         floor = ks[depth - 1] + 1 if depth else 0
         for v in range(max(store.lo[depth], floor), store.hi[depth] + 1):
@@ -429,64 +373,47 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         cfg = SolverConfig()
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r}; pick one of {STRATEGIES}")
+    check_time_limit(cfg.time_limit)
     validate_instance(inst)
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
     stats = SearchStats()
-    trace: list[tuple[float, float]] = []
-    cuts: list[tuple[int, tuple[int, ...]]] = []
+    inc = Incumbent(start=start)
 
-    def on_update(pol: Policy, wq: float) -> None:
-        trace.append((time.perf_counter() - start, wq))
-        if cfg.dominance:
-            cut = record_dominance(pol, inst.N)
-            if cut is not None:
-                cuts.append(cut)
+    def result(status: str) -> SolveResult:
+        return SolveResult(status, inc.policy, inc.wq, status == "optimal", inc.trace, stats)
 
-    inc = Incumbent(on_update=on_update)
     late = max_backroom_policy(inst)
     b, wq = _eval(inst, late, stats)
-    if b < inst.Bl - cfg.eps_b:
-        return SolveResult("infeasible", None, None, False, trace, stats)
-    inc.consider(late, wq, cfg.eps_wq)
+    if b < inst.Bl - EPS_B:
+        return SolveResult("infeasible", None, None, False, inc.trace, stats)
+    inc.consider(late, wq)
     early = min_wait_policy(inst)
     b, wq = _eval(inst, early, stats)
-    if b >= inst.Bl - cfg.eps_b:
-        inc.consider(early, wq, cfg.eps_wq)
-        return SolveResult("optimal", inc.policy, inc.wq, True, trace, stats)
+    if b >= inst.Bl - EPS_B:
+        inc.consider(early, wq)
+        return result("optimal")
     if cfg.hybrid:
-        hres = run_p1(inst, eps_b=cfg.eps_b, deadline=deadline)
+        hres = run_p1(inst, deadline=deadline)
         stats.evaluations += hres.steps
         if hres.policy is not None:
-            inc.consider(hres.policy, hres.wq, cfg.eps_wq)
+            inc.consider(hres.policy, hres.wq)
         if hres.status == "timeout":
-            return SolveResult("timeout-with-incumbent", inc.policy, inc.wq, False, trace, stats)
+            return result("timeout-with-incumbent")
     store = DomainStore.initial(inst)
-    search_cuts = cuts if cfg.dominance else None
+    # looked up per call so that replaced module attributes are honoured
+    shave = {"bl-shave": bl_shave, "wq-shave": wq_shave,
+             "alt-shave": alternating_shave}.get(cfg.strategy)
     try:
         if cfg.strategy == "alt-search-shave":
-            while True:
-                if alternating_shave(inst, store, inc, stats, cfg.eps_b, cfg.eps_wq,
-                                     deadline) == "proof":
-                    break
+            while alternating_shave(inst, store, inc, stats, deadline) != "proof":
                 try:
-                    search(inst, store, inc, stats, search_cuts, cfg.eps_b, cfg.eps_wq,
-                           deadline, restart_on_improve=True)
+                    search(inst, store, inc, stats, deadline, restart_on_improve=True)
                 except _Improved:
                     continue
                 break
-        else:
-            proved = False
-            if cfg.strategy == "bl-shave":
-                proved = bl_shave(inst, store, inc, stats, cfg.eps_b, cfg.eps_wq,
-                                  deadline) == "proof"
-            elif cfg.strategy == "wq-shave":
-                proved = wq_shave(inst, store, inc, stats, cfg.eps_wq, deadline) == "proof"
-            elif cfg.strategy == "alt-shave":
-                proved = alternating_shave(inst, store, inc, stats, cfg.eps_b, cfg.eps_wq,
-                                           deadline) == "proof"
-            if not proved:
-                search(inst, store, inc, stats, search_cuts, cfg.eps_b, cfg.eps_wq, deadline)
+        elif shave is None or shave(inst, store, inc, stats, deadline) != "proof":
+            search(inst, store, inc, stats, deadline)
     except SolveTimeout:
-        return SolveResult("timeout-with-incumbent", inc.policy, inc.wq, False, trace, stats)
-    return SolveResult("optimal", inc.policy, inc.wq, True, trace, stats)
+        return result("timeout-with-incumbent")
+    return result("optimal")

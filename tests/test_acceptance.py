@@ -234,7 +234,7 @@ def test_criterion_11_determinism(capsys, tmp_path, desk_suite):
 
     same_solve = True
     for inst in desk_suite[:20]:
-        cfg = SolverConfig(strategy="alt-search-shave", dominance=True, hybrid=True)
+        cfg = SolverConfig(strategy="alt-search-shave", hybrid=True)
         a = solve(inst, cfg)
         b = solve(inst, cfg)
         same_solve = same_solve and (

@@ -70,7 +70,7 @@ def test_heuristic_infeasible_exit_code(example_file, capsys):
 
 def test_solve_command(example_file, capsys):
     rc = main(["solve", "--instance-file", example_file, "--index", "0",
-               "--strategy", "alt-search-shave", "--dominance"])
+               "--strategy", "alt-search-shave"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "status optimal" in out
@@ -126,6 +126,21 @@ def test_usage_errors_exit_one(example_file, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", (["--time-limit", "nan"], ["--time-limit", "-1"],
+                                 ["--workers", "0"]))
+def test_bad_limits_exit_one(example_file, tmp_path, capsys, bad):
+    out_csv = tmp_path / "x.csv"
+    if bad[0] == "--time-limit":
+        assert main(["solve", "--instance-file", example_file, "--index", "0",
+                     "--strategy", "none"] + bad) == 1
+        assert "time limit" in capsys.readouterr().err
+    argv = ["bench", "--instance-file", example_file, "--methods", "p1",
+            "--time-limit", "1", "--out-csv", str(out_csv)] + bad
+    assert main(argv) == 1
+    assert bad[0][2:].replace("-", " ") in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "eval" in capsys.readouterr().out
@@ -158,6 +173,23 @@ def test_run_suite_parallel_matches_serial(small_file):
     for a, b in zip(serial, parallel):
         assert (a.instance_id, a.method, a.status, a.wq, a.proof, a.nodes) == \
                (b.instance_id, b.method, b.status, b.wq, b.proof, b.nodes)
+
+
+def test_run_suite_p1_honours_the_time_limit():
+    # the start policy, then the deadline check before the first move
+    records, traces = run_suite([EXAMPLE], ["p1"], 0.0)
+    assert [(r.status, r.evals, r.proof) for r in records] == \
+        [("timeout-with-incumbent", 1, False)]
+    assert records[0].wq == evaluate_b_wq(EXAMPLE, max_backroom_policy(EXAMPLE))[1]
+    assert [pt.wq for pt in traces] == [records[0].wq]
+
+
+def test_run_suite_rejects_bad_limits():
+    for limit in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="time limit"):
+            run_suite([EXAMPLE], ["p1"], limit)
+    with pytest.raises(ValueError, match="workers"):
+        run_suite([EXAMPLE], ["p1"], 1.0, workers=0)
 
 
 def test_best_known_table_is_a_lower_envelope(small_file):

@@ -1,16 +1,17 @@
 """Solver tests: domains, corner completions, probes, shaving, search, solve."""
 
+import math
 import random
 
 import pytest
 
-from conftest import (EXAMPLE, OPT_POLICY, WQ_OPT, random_instance)
-from switchq import (DomainStore, Instance, SolverConfig, STRATEGIES,
+from conftest import (EXAMPLE, OPT_POLICY, WQ_OPT, random_instance, random_policy)
+from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, max_backroom_policy,
                      min_wait_policy, run_p1, search, solve)
-from switchq.solver import (Incumbent, SearchStats, _Improved, alternating_shave,
+from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _Improved, alternating_shave,
                             bl_gmax_probe, bl_gmin_probe, bl_shave, gmax, gmin,
-                            record_dominance, wq_gmin_probe, wq_shave)
+                            wq_gmin_probe, wq_shave)
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
 EASY = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.1)   # all-early is feasible
@@ -218,23 +219,59 @@ def test_search_restart_signal():
     assert inc.wq < evaluate_b_wq(EXAMPLE, max_backroom_policy(EXAMPLE))[1]
 
 
-def test_dominance_cut_recording():
-    assert record_dominance((0, 1, 2, 6), 3) is None
-    assert record_dominance(OPT_POLICY, 3) == (1, (3, 4))
-    assert record_dominance((2, 3, 4, 6), 3) == (0, (2, 3, 4))
+def _dominance_cut(pol, n):
+    """A dominance cut from a feasible policy, as search once recorded them:
+    (start, values) with start the first index above its minimum; any
+    strictly better policy must take some k_i below values[i - start]."""
+    j = next((i for i in range(n) if pol[i] > i), None)
+    return None if j is None else (j, tuple(pol[j:n]))
 
 
-def test_dominance_never_changes_answers_and_never_adds_nodes():
+def _cut_blocks(ks, depth, store, cut):
+    """The removed cut test: no policy in the node's box satisfies the cut."""
+    start, values = cut
+    return all((ks[i] if i < depth else store.lo[i]) >= values[i - start]
+               for i in range(start, len(store.lo)))
+
+
+def test_wait_corner_subsumes_dominance_cuts():
+    # Whenever a cut from a feasible incumbent would block a node, the node's
+    # gmin corner is no better than that incumbent, so search's wait-corner
+    # bound has already pruned it: the cuts could never prune anything.
     rng = random.Random(43)
-    for _ in range(60):
-        inst = random_instance(rng, 3, 11)
-        plain = solve(inst, SolverConfig(strategy="none"))
-        cut = solve(inst, SolverConfig(strategy="none", dominance=True))
-        assert plain.status == cut.status
-        if plain.status == "optimal":
-            assert cut.incumbent == plain.incumbent
-            assert cut.wq == plain.wq
-        assert cut.stats.nodes <= plain.stats.nodes
+    blocked = 0
+    for _ in range(150):
+        inst = random_instance(rng, 3, 14)
+        n = inst.N
+        feasible = []
+        for _ in range(30):
+            pol = random_policy(rng, inst)
+            b, wq = evaluate_b_wq(inst, pol)
+            if b >= inst.Bl - EPS_B:
+                feasible.append((pol, wq))
+        cuts = [(cut, wq) for pol, wq in feasible
+                if (cut := _dominance_cut(pol, n)) is not None]
+        if not cuts:
+            continue
+        for _ in range(20):
+            store = DomainStore.initial(inst)
+            for i in range(n):
+                if store.failed:
+                    break
+                store.raise_lo(i, rng.randint(store.lo[i], store.hi[i]))
+            if store.failed:
+                continue
+            depth = rng.randint(0, n)
+            ks = list(random_policy(rng, inst)[:n])
+            corner = gmin(inst, store, {t: ks[t] for t in range(depth)})
+            if corner is None:
+                continue
+            corner_wq = evaluate_b_wq(inst, corner)[1]
+            for cut, cut_wq in cuts:
+                if _cut_blocks(ks, depth, store, cut):
+                    blocked += 1
+                    assert corner_wq >= cut_wq - EPS_WQ
+    assert blocked > 100
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +315,27 @@ def test_hybrid_seeds_the_heuristic_result():
     assert res.stats.evaluations >= run_p1(EXAMPLE).steps
 
 
+# (nodes, shave_iterations, evaluations) per strategy, plain and hybrid
+REGRESSION_COUNTS = {
+    "none": ((24, 0, 38), (22, 0, 50)),
+    "bl-shave": ((0, 13, 15), (0, 13, 29)),
+    "wq-shave": ((23, 7, 43), (1, 11, 28)),
+    "alt-shave": ((0, 13, 15), (0, 13, 29)),
+    "alt-search-shave": ((0, 13, 15), (0, 13, 29)),
+}
+
+
 def test_solve_regression_counts_on_example():
-    res = solve(EXAMPLE, SolverConfig(strategy="none"))
-    assert (res.stats.nodes, res.stats.evaluations) == (24, 38)
-    res = solve(EXAMPLE, SolverConfig(strategy="bl-shave"))
-    assert (res.stats.shave_iterations, res.stats.evaluations) == (13, 15)
-    assert res.stats.nodes == 0
+    for strategy, rows in REGRESSION_COUNTS.items():
+        for hybrid, want in zip((False, True), rows):
+            res = solve(EXAMPLE, SolverConfig(strategy=strategy, hybrid=hybrid))
+            assert res.status == "optimal" and res.incumbent == OPT_POLICY
+            got = (res.stats.nodes, res.stats.shave_iterations, res.stats.evaluations)
+            assert got == want, (strategy, hybrid)
+    # the example's counts do not depend on which requirement probe runs
+    # first at a variable; this instance's do
+    res = solve(Instance(S=12, N=5, lam=42.0, mu=9.0, Bl=1.0), SolverConfig(strategy="alt-shave"))
+    assert (res.stats.nodes, res.stats.shave_iterations, res.stats.evaluations) == (0, 75, 77)
 
 
 def test_incumbent_trace_is_monotone():
@@ -315,9 +367,21 @@ def test_hybrid_honors_the_deadline():
 
 
 def test_solve_is_deterministic():
-    a = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave", dominance=True))
-    b = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave", dominance=True))
+    a = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave"))
+    b = solve(EXAMPLE, SolverConfig(strategy="alt-search-shave"))
     assert (a.status, a.incumbent, a.wq, a.proof) == (b.status, b.incumbent, b.wq, b.proof)
     assert (a.stats.nodes, a.stats.shave_iterations, a.stats.evaluations) == \
            (b.stats.nodes, b.stats.shave_iterations, b.stats.evaluations)
     assert [w for _, w in a.incumbent_trace] == [w for _, w in b.incumbent_trace]
+
+
+@pytest.mark.parametrize("limit", (float("nan"), -1.0, -math.inf))
+def test_solve_rejects_a_nan_or_negative_time_limit(limit):
+    with pytest.raises(ValueError, match="time limit"):
+        solve(EXAMPLE, SolverConfig(time_limit=limit))
+
+
+def test_an_infinite_time_limit_means_no_limit():
+    for limit in (None, math.inf):
+        res = solve(EXAMPLE, SolverConfig(hybrid=True, time_limit=limit))
+        assert res.status == "optimal" and res.proof and res.incumbent == OPT_POLICY
