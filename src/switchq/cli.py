@@ -323,7 +323,10 @@ def _cmd_generate(args) -> int:
     except ValueError:
         raise _CliError(f"bad capacity list {args.s!r}") from None
     spec = GenSpec(s_values=s_values, per_s_count=args.count, seed=args.seed)
-    insts = generate(spec)
+    try:
+        insts = generate(spec)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     write_instances(args.out, insts)
     print(f"wrote {len(insts)} instances to {args.out}")
     return EXIT_OK

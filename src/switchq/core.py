@@ -208,43 +208,53 @@ class _Workspace:
     stays in float range while S * ln(lam/mu) is small (a tail that
     underflows to zero is harmless).  Search and heuristic walks move one
     switching point by one step at a time, which changes the segment of a
-    single state, so most calls patch one entry instead of refilling the
-    buffer.  A caller that moved exactly one switching point by one step
-    since its previous call here may pass that point's index as ``moved``,
-    which skips the scan for it.
+    single state, so most calls patch one entry; a call that moves several
+    points rewrites the buffer from the first moved point on, and a call
+    that repeats the previous policy returns the stored result, since the
+    buffers are a function of the policy alone.  A caller that moved exactly
+    one switching point by one step since its previous call here may pass
+    that point's index as ``moved``, which skips the scan for it (and the
+    repeat check).
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "ones_t", "step_buf", "q_buf",
-                 "views", "last")
+                 "views", "last", "res")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
-        self.rs = self.lam / (np.arange(1.0, self.n + 1.0) * self.mu)
+        self.rs = [self.lam / (i * self.mu) for i in range(1, self.n + 1)]
         self.ones_t = _ones_t(self.s)
         self.step_buf = np.empty(self.s + 1)
         self.q_buf = np.empty(self.s + 1)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
         self.last: Policy | None = None
+        self.res: tuple[float, float] | None = None  # (B, Wq) of last
 
-    def _refill(self, pol: Policy) -> None:
-        d = np.diff(np.asarray(pol))
-        self.step_buf[pol[0] + 1:] = np.repeat(self.rs, d)
+    def _refill(self, pol: Policy, first: int) -> None:
+        """Rewrite step_buf above k_g, g = max(first - 1, 0), from pol's
+        segments, in plain Python.  first is the first index where pol
+        differs from the buffer's policy, so the states at or below k_g
+        keep their ratios."""
+        g = first - 1 if first else 0
+        rs = self.rs
+        run: list[float] = []
+        for i in range(g, self.n):
+            run += [rs[i]] * (pol[i + 1] - pol[i])
+        self.step_buf[pol[g] + 1:] = run
 
     def _sync(self, pol: Policy, moved: int) -> None:
         last = self.last
         self.last = pol
         if moved < 0:
             if last is None:
-                self._refill(pol)
+                self._refill(pol, 0)
                 return
             for i in range(self.n):
                 if pol[i] != last[i]:
                     moved = i
                     break
-            if moved < 0:
-                return
             if abs(pol[moved] - last[moved]) != 1 or pol[moved + 1:] != last[moved + 1:]:
-                self._refill(pol)
+                self._refill(pol, moved)
                 return
         if pol[moved] < last[moved]:
             self.step_buf[last[moved]] = self.rs[moved]
@@ -253,6 +263,8 @@ class _Workspace:
         # raising k_0 only shrinks the live range; no entry changes
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
+        if moved < 0 and pol == self.last:
+            return self.res
         self._sync(pol, moved)
         k0 = pol[0]
         parts = self.views.get(k0)
@@ -271,7 +283,8 @@ class _Workspace:
         f = self.lam / self.mu * (1.0 - p_s)
         admitted = self.lam * (1.0 - p_s)
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        return self.n - f, wq
+        self.res = res = (self.n - f, wq)
+        return res
 
 
 class _ModeWorkspace(_Workspace):
@@ -291,11 +304,14 @@ class _ModeWorkspace(_Workspace):
 
     def __init__(self, inst: Instance):
         super().__init__(inst)
-        self.mode = int(np.count_nonzero(self.rs >= 1.0))
-        self.rs[:self.mode] = 1.0 / self.rs[:self.mode]
+        rs = self.rs
+        self.mode = sum(r >= 1.0 for r in rs)
+        self.rs = [1.0 / r for r in rs[:self.mode]] + rs[self.mode:]
         self.q_buf = np.empty(self.s + 2)  # q_buf[t + 1] holds q(t)
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
+        if moved < 0 and pol == self.last:
+            return self.res
         self._sync(pol, moved)
         k0, p = pol[0], pol[self.mode]
         q = self.q_buf
@@ -310,7 +326,8 @@ class _ModeWorkspace(_Workspace):
         f = self.lam / self.mu * (1.0 - p_s)
         admitted = self.lam * (1.0 - p_s)
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        return self.n - f, wq
+        self.res = res = (self.n - f, wq)
+        return res
 
 
 @lru_cache(maxsize=32)

@@ -34,8 +34,16 @@ def generate(spec: GenSpec) -> list[Instance]:
     {1..4}, in that order, so equal seeds reproduce files byte for byte.
     Kept instances have the all-late policy feasible but beatable and the
     all-early policy infeasible.  Exhausting the attempt budget for some
-    capacity emits a warning and moves on with a partial result.
+    capacity emits a warning and moves on with a partial result.  Raises
+    ValueError for a negative count, and for a capacity below 2, where no
+    draw could ever be kept.
     """
+    if spec.per_s_count < 0:
+        raise ValueError(f"count per capacity must be nonnegative, got {spec.per_s_count}")
+    for s in spec.s_values:
+        if s < 2:
+            raise ValueError(f"capacities must be at least 2, since N is drawn from 2 up; "
+                             f"got S={s}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     out: list[Instance] = []
     for s in spec.s_values:

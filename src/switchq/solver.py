@@ -34,14 +34,19 @@ class _Improved(Exception):
 class DomainStore:
     """Integer ranges for the movable switching points k_0..k_{N-1}.
 
-    Shrinking either end re-normalizes the box so lo stays strictly
-    increasing and hi strictly increasing with unit gaps available; an empty
-    range marks the store failed.
+    Every store is normalized: construction and each shrink raise lo and
+    lower hi until both are strictly increasing, which drops only values no
+    ordered policy can take; an empty range marks the store failed.  The
+    corner completions below rely on this, and on the box lying in
+    [0, S - 1] as ``initial`` makes it.
     """
 
     lo: list[int]
     hi: list[int]
     failed: bool = False
+
+    def __post_init__(self) -> None:
+        self._normalize()
 
     @classmethod
     def initial(cls, inst: Instance) -> "DomainStore":
@@ -137,55 +142,44 @@ def _eval(inst: Instance, pol: Policy, stats: SearchStats) -> tuple[float, float
     return evaluate_b_wq(inst, pol)
 
 
-def gmin(inst: Instance, store: DomainStore, fixed: dict[int, int] | None = None) -> Policy | None:
-    """Smallest ordered policy in the box, honoring fixed assignments.
+def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy | None:
+    """Smallest policy in the box with k_start.. fixed to head.
 
-    Sweeps left to right taking the lowest value each domain still allows.
-    Returns None when no completion exists.
+    head must be strictly increasing and inside its domains, as search's
+    prefixes and the probes' end values are.  On the normalized box the
+    completion is lo[:start], then head, then a run packed upward from head's
+    last value until it meets lo, then the rest of lo: the same policy as a
+    left-to-right sweep taking the lowest value each domain allows, built by
+    splicing.  Returns None on a failed store.
     """
     if store.failed:
         return None
-    ks = []
-    prev = -1
-    for i in range(inst.N):
-        if fixed is not None and i in fixed:
-            v = fixed[i]
-            if v < store.lo[i] or v > store.hi[i] or v <= prev:
-                return None
-        else:
-            v = max(store.lo[i], prev + 1)
-            if v > store.hi[i]:
-                return None
-        ks.append(v)
-        prev = v
-    if prev >= inst.S:
-        return None
-    return tuple(ks) + (inst.S,)
+    lo = store.lo
+    n = len(lo)
+    t = start + len(head)
+    v = w = head[-1] + 1 if head else 0
+    while t < n and lo[t] < v:
+        t += 1
+        v += 1
+    return (*lo[:start], *head, *range(w, v), *lo[t:], inst.S)
 
 
-def gmax(inst: Instance, store: DomainStore, fixed: dict[int, int] | None = None) -> Policy | None:
-    """Largest ordered policy in the box, honoring fixed assignments.
+def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy | None:
+    """Largest policy in the box with k_start.. fixed to head.
 
-    Mirror image of gmin: sweeps right to left taking the highest value each
-    domain still allows below its successor.
+    Mirror image of gmin: hi up to a run packed downward to head's first
+    value, then head, then the rest of hi.  On a search prefix (start 0) the
+    run is empty and the corner is head + hi[len(head):].
     """
     if store.failed:
         return None
-    n = inst.N
-    ks = [0] * n
-    nxt = inst.S
-    for i in range(n - 1, -1, -1):
-        if fixed is not None and i in fixed:
-            v = fixed[i]
-            if v < store.lo[i] or v > store.hi[i] or v >= nxt:
-                return None
-        else:
-            v = min(store.hi[i], nxt - 1)
-            if v < store.lo[i]:
-                return None
-        ks[i] = v
-        nxt = v
-    return tuple(ks) + (inst.S,)
+    hi = store.hi
+    t = start - 1
+    v = w = head[0] - 1 if head else inst.S - 1
+    while t >= 0 and hi[t] > v:
+        t -= 1
+        v -= 1
+    return (*hi[:t + 1], *range(v + 1, w + 1), *head, *hi[start + len(head):], inst.S)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def bl_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     because the domain is a single value, the incumbent is optimal.
     """
     stats.shave_iterations += 1
-    pol = gmin(inst, store, {i: store.hi[i]})
+    pol = gmin(inst, store, (store.hi[i],), i)
     if pol is None:
         return "stuck"
     b, wq = _eval(inst, pol, stats)
@@ -225,7 +219,7 @@ def bl_gmax_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     incumbent is optimal.
     """
     stats.shave_iterations += 1
-    pol = gmax(inst, store, {i: store.lo[i]})
+    pol = gmax(inst, store, (store.lo[i],), i)
     if pol is None:
         return "stuck"
     b, wq = _eval(inst, pol, stats)
@@ -246,7 +240,7 @@ def wq_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     non-improving completion rules the value out for any improvement.
     """
     stats.shave_iterations += 1
-    pol = gmin(inst, store, {i: store.hi[i]})
+    pol = gmin(inst, store, (store.hi[i],), i)
     if pol is None:
         return "stuck"
     _, wq = _eval(inst, pol, stats)
@@ -324,36 +318,29 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     if store.failed:
         return
     n, s = inst.N, inst.S
-    ks = [0] * n
+    lo, hi = store.lo, store.hi
+    target = inst.Bl - EPS_B
 
-    def descend(depth: int) -> None:
+    def descend(depth: int, prefix: Policy) -> None:
         _check_deadline(deadline)
         stats.nodes += 1
         if depth == n:
-            pol = tuple(ks) + (s,)
+            pol = prefix + (s,)
             b, wq = _eval(inst, pol, stats)
-            if b >= inst.Bl - EPS_B and inc.consider(pol, wq) and restart_on_improve:
+            if b >= target and inc.consider(pol, wq) and restart_on_improve:
                 raise _Improved
             return
-        fixed = {t: ks[t] for t in range(depth)}
-        corner = gmax(inst, store, fixed)
-        if corner is None:
+        b, _ = _eval(inst, gmax(inst, store, prefix), stats)
+        if b < target:
             return
-        b, _ = _eval(inst, corner, stats)
-        if b < inst.Bl - EPS_B:
-            return
-        corner = gmin(inst, store, fixed)
-        if corner is None:
-            return
-        _, wq = _eval(inst, corner, stats)
+        _, wq = _eval(inst, gmin(inst, store, prefix), stats)
         if wq >= inc.wq - EPS_WQ:
             return
-        floor = ks[depth - 1] + 1 if depth else 0
-        for v in range(max(store.lo[depth], floor), store.hi[depth] + 1):
-            ks[depth] = v
-            descend(depth + 1)
+        floor = prefix[-1] + 1 if depth else 0
+        for v in range(max(lo[depth], floor), hi[depth] + 1):
+            descend(depth + 1, prefix + (v,))
 
-    descend(0)
+    descend(0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ def test_generate_command(tmp_path, capsys):
     assert out_file.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("s, count", [("0", "2"), ("8,1", "2"), ("8", "-3")])
+def test_generate_rejects_bad_input(tmp_path, capsys, s, count):
+    out_file = tmp_path / "gen.txt"
+    rc = main(["generate", "--s", s, "--count", count, "--seed", "1", "--out", str(out_file)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_usage_errors_exit_one(example_file, capsys):
     cases = [
         ["eval", "--instance-file", example_file, "--index", "9",

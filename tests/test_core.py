@@ -15,7 +15,7 @@ from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, validate_instance, validate_policy)
 from switchq.core import (_geom_first_moment, _geom_sum, _ModeWorkspace, _needs_log_space,
-                          _workspace)
+                          _Workspace, _workspace)
 
 
 def test_validate_instance_accepts_example():
@@ -261,6 +261,55 @@ def test_evaluate_b_wq_wide_agrees_with_oracles():
                 assert rel_close(b, m.B, tol), (inst, pol)
                 assert rel_close(wq, m.Wq, tol), (inst, pol)
         assert mode_moves > 0 or mode == inst.N
+
+
+def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
+    """(policy, moved hint, kind) for one workspace: repeats of the previous
+    policy (as an equal copy), +-1 moves with and without the hint, and
+    jumps that move several points from some index on."""
+    n, s = inst.N, inst.S
+    pol = random_policy(rng, inst)
+    out = [(pol, -1, "first")]
+    while len(out) < steps:
+        r = rng.random()
+        if r < 0.2:
+            out.append((tuple(list(pol)), -1, "repeat"))
+            continue
+        if r < 0.65:
+            i = rng.randrange(n)
+            v = pol[i] + rng.choice((-1, 1))
+            if not (pol[i - 1] if i else -1) < v < pol[i + 1]:
+                continue
+            new = pol[:i] + (v,) + pol[i + 1:]
+            hinted = rng.random() < 0.5
+            out.append((new, i if hinted else -1, "hinted" if hinted else "unhinted"))
+        else:
+            a = 0 if rng.random() < 0.3 else rng.randrange(n)
+            floor = pol[a - 1] + 1 if a else 0
+            new = pol[:a] + tuple(sorted(rng.sample(range(floor, s), n - a))) + (s,)
+            moved = [i for i in range(n) if new[i] != pol[i]]
+            if len(moved) < 2 and (not moved or abs(new[moved[0]] - pol[moved[0]]) == 1):
+                continue
+            out.append((new, -1, "jump" if moved[0] == 0 else "tail jump"))
+        pol = out[-1][0]
+    return out
+
+
+@pytest.mark.parametrize("inst, cls", [
+    (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), _Workspace),
+    (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), _ModeWorkspace),
+])
+def test_workspace_results_depend_on_the_policy_alone(inst, cls):
+    # one workspace driven through repeats, patches and refills must give
+    # exactly what a fresh workspace gives for each policy
+    assert isinstance(_workspace(inst, threading.get_ident()), cls)
+    rng = random.Random(61)
+    ws = cls(inst)
+    kinds = {}
+    for pol, moved, kind in _mixed_calls(rng, inst, 500):
+        assert ws.b_wq(pol, moved) == cls(inst).b_wq(pol), (kind, pol)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds[k] for k in ("repeat", "hinted", "unhinted", "jump", "tail jump")) > 20
 
 
 def _evaluate_in_threads(inst, walks, expect, rounds, deadline):

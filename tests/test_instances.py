@@ -45,6 +45,18 @@ def test_generation_warns_and_truncates_when_starved():
     assert out == []
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec(s_values=(0,), per_s_count=2, seed=1),
+    GenSpec(s_values=(10, 1), per_s_count=2, seed=1),
+    GenSpec(s_values=(10,), per_s_count=-3, seed=1),
+])
+def test_generation_rejects_bad_specs(spec):
+    # a capacity below 2 could never keep a draw (N >= 2), and a negative
+    # count is no count; both are refused before any draw
+    with pytest.raises(ValueError, match="capacit"):
+        generate(spec)
+
+
 def test_round_trip(tmp_path):
     insts = [
         Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.32),

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conftest import (EXAMPLE, OPT_POLICY, WQ_OPT, random_instance, random_policy)
+from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, WQ_OPT, random_instance,
+                      random_policy)
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
-                     brute_force_optimum, evaluate_b_wq, max_backroom_policy,
+                     brute_force_optimum, evaluate_b_wq, generate, max_backroom_policy,
                      min_wait_policy, run_p1, search, solve)
 from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _Improved, alternating_shave,
                             bl_gmax_probe, bl_gmin_probe, bl_shave, gmax, gmin,
@@ -15,6 +16,52 @@ from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _Improved, alternati
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
 EASY = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.1)   # all-early is feasible
+
+
+def sweep_gmin(inst, store, fixed=None):
+    """Reference downward corner: sweep left to right taking the lowest value
+    each domain still allows, honoring fixed assignments; None when no
+    completion exists."""
+    if store.failed:
+        return None
+    ks = []
+    prev = -1
+    for i in range(inst.N):
+        if fixed is not None and i in fixed:
+            v = fixed[i]
+            if v < store.lo[i] or v > store.hi[i] or v <= prev:
+                return None
+        else:
+            v = max(store.lo[i], prev + 1)
+            if v > store.hi[i]:
+                return None
+        ks.append(v)
+        prev = v
+    if prev >= inst.S:
+        return None
+    return tuple(ks) + (inst.S,)
+
+
+def sweep_gmax(inst, store, fixed=None):
+    """Reference upward corner: the mirror sweep, right to left, taking the
+    highest value each domain still allows below its successor."""
+    if store.failed:
+        return None
+    n = inst.N
+    ks = [0] * n
+    nxt = inst.S
+    for i in range(n - 1, -1, -1):
+        if fixed is not None and i in fixed:
+            v = fixed[i]
+            if v < store.lo[i] or v > store.hi[i] or v >= nxt:
+                return None
+        else:
+            v = min(store.hi[i], nxt - 1)
+            if v < store.lo[i]:
+                return None
+        ks[i] = v
+        nxt = v
+    return tuple(ks) + (inst.S,)
 
 
 def fresh_parts(inst, seed_late=True):
@@ -64,6 +111,20 @@ def test_copy_is_independent():
     assert store.snapshot() == ((0, 1, 2), (3, 4, 5))
 
 
+def test_constructor_normalizes():
+    store = DomainStore(lo=[0, 0, 0], hi=[5, 5, 5])
+    assert store.lo == [0, 1, 2] and store.hi == [3, 4, 5] and not store.failed
+    assert DomainStore(lo=[2, 0], hi=[2, 2]).failed
+    # search on the normalized store matches search on the initial box
+    runs = []
+    for store in (DomainStore(lo=[0, 0, 0], hi=[5, 5, 5]), DomainStore.initial(EXAMPLE)):
+        _, stats, inc = fresh_parts(EXAMPLE)
+        search(EXAMPLE, store, inc, stats)
+        runs.append((inc.policy, inc.wq, stats.nodes, stats.shave_iterations, stats.evaluations))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == OPT_POLICY and runs[0][2] == 24
+
+
 # ---------------------------------------------------------------------------
 # corner completions
 
@@ -75,14 +136,71 @@ def test_corners_of_full_box():
 
 
 def test_corners_honor_fixed_values():
-    store = DomainStore.initial(EXAMPLE)
-    assert gmin(EXAMPLE, store, {1: 3}) == (0, 3, 4, 6)
-    assert gmax(EXAMPLE, store, {1: 2}) == (1, 2, 5, 6)
-    # conflicting fixed values yield no completion
-    assert gmin(EXAMPLE, store, {0: 2, 2: 3}) is None
-    assert gmin(EXAMPLE, store, {0: 3, 1: 3}) is None
-    assert gmax(EXAMPLE, store, {2: 2, 1: 2}) is None
-    assert gmin(EXAMPLE, store, {0: 9}) is None
+    store = DomainStore.initial(EXAMPLE)   # lo [0, 1, 2], hi [3, 4, 5]
+    assert gmin(EXAMPLE, store, (3,), 1) == (0, 3, 4, 6)
+    assert gmax(EXAMPLE, store, (2,), 1) == (1, 2, 5, 6)
+    # a search prefix: gmin packs upward from its last value, gmax takes hi
+    assert gmin(EXAMPLE, store, (1, 3)) == (1, 3, 4, 6)
+    assert gmin(EXAMPLE, store, (3,)) == (3, 4, 5, 6)
+    assert gmax(EXAMPLE, store, (0,)) == (0, 4, 5, 6)
+    # one fixed index: gmax packs downward into it from hi
+    assert gmax(EXAMPLE, store, (2,), 2) == (0, 1, 2, 6)
+    assert gmax(EXAMPLE, store, (3,), 2) == (1, 2, 3, 6)
+    assert gmin(EXAMPLE, store, (0,), 0) == (0, 1, 2, 6)
+
+
+def _random_store(rng, inst):
+    """The initial box after a few random shrinks; now and then one empties
+    a domain and the store fails."""
+    store = DomainStore.initial(inst)
+    for _ in range(rng.randint(0, 2 * inst.N)):
+        i = rng.randrange(inst.N)
+        lo, hi = store.lo[i], store.hi[i]
+        if rng.random() < 0.5:
+            store.shrink_hi(i, lo - 1 if rng.random() < 0.02 else rng.randint(lo, hi))
+        else:
+            store.raise_lo(i, hi + 1 if rng.random() < 0.02 else rng.randint(lo, hi))
+        if store.failed:
+            break
+    return store
+
+
+def test_spliced_corners_match_the_reference_sweeps():
+    rng = random.Random(59)
+    cases = nones = packed_up = packed_down = 0
+    while cases < 6000:
+        inst = random_instance(rng, 2, 24)
+        n = inst.N
+        store = _random_store(rng, inst)
+        for _ in range(5):
+            if store.failed:
+                head, start = (), 0
+            elif rng.random() < 0.5:
+                # a search prefix, drawn the way search branches
+                head = ()
+                for t in range(rng.randint(0, n)):
+                    floor = head[-1] + 1 if head else 0
+                    head += (rng.randint(max(store.lo[t], floor), store.hi[t]),)
+                start = 0
+            else:
+                # a probe's single fixed index: an end of its domain, as the
+                # probes fix it, or any value in between
+                start = rng.randrange(n)
+                lo, hi = store.lo[start], store.hi[start]
+                head = (rng.choice((lo, hi, rng.randint(lo, hi))),)
+            fixed = {start + t: v for t, v in enumerate(head)}
+            want_lo, want_hi = sweep_gmin(inst, store, fixed), sweep_gmax(inst, store, fixed)
+            assert gmin(inst, store, head, start) == want_lo, (inst, store, head, start)
+            assert gmax(inst, store, head, start) == want_hi, (inst, store, head, start)
+            cases += 1
+            nones += want_lo is None
+            if want_lo is not None and head:
+                # the runs packed next to head differ from plain lo and hi
+                end = start + len(head)
+                packed_up += want_lo[end:n] != tuple(store.lo[end:])
+                packed_down += want_hi[:start] != tuple(store.hi[:start])
+    assert nones > 100
+    assert packed_up > 500 and packed_down > 200
 
 
 def test_corners_on_failed_store():
@@ -263,7 +381,7 @@ def test_wait_corner_subsumes_dominance_cuts():
                 continue
             depth = rng.randint(0, n)
             ks = list(random_policy(rng, inst)[:n])
-            corner = gmin(inst, store, {t: ks[t] for t in range(depth)})
+            corner = sweep_gmin(inst, store, {t: ks[t] for t in range(depth)})
             if corner is None:
                 continue
             corner_wq = evaluate_b_wq(inst, corner)[1]
@@ -336,6 +454,33 @@ def test_solve_regression_counts_on_example():
     # first at a variable; this instance's do
     res = solve(Instance(S=12, N=5, lam=42.0, mu=9.0, Bl=1.0), SolverConfig(strategy="alt-shave"))
     assert (res.stats.nodes, res.stats.shave_iterations, res.stats.evaluations) == (0, 75, 77)
+
+
+# per-configuration sums of (nodes, shave_iterations, evaluations) over the
+# first 25 desk instances; every gated timing is per evaluation, so these
+# counts are what shows a change in which corners get evaluated
+DESK_COUNTS = {
+    "none": (2266, 0, 3621),
+    "bl-shave": (150, 675, 969),
+    "wq-shave": (2241, 253, 3824),
+    "alt-shave": (121, 752, 997),
+    "alt-search-shave": (13, 809, 880),
+    "hybrid": (0, 773, 1275),
+}
+
+
+def test_solve_counts_on_the_desk_suite(desk_suite):
+    assert desk_suite[:25] == generate(DESK_SPEC)[:25]
+    for label, want in DESK_COUNTS.items():
+        cfg = SolverConfig(strategy="alt-search-shave", hybrid=True) if label == "hybrid" \
+            else SolverConfig(strategy=label)
+        got = [0, 0, 0]
+        for inst in desk_suite[:25]:
+            res = solve(inst, cfg)
+            assert res.status == "optimal", (label, inst)
+            got = [a + b for a, b in zip(got, (res.stats.nodes, res.stats.shave_iterations,
+                                               res.stats.evaluations))]
+        assert tuple(got) == want, label
 
 
 def test_incumbent_trace_is_monotone():
