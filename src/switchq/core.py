@@ -189,6 +189,8 @@ def _direct_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # vectorized route: the balance recursion as cumulative products
 
+_accumulate = np.multiply.accumulate
+
 
 @lru_cache(maxsize=64)
 def _ones_t(s: int) -> np.ndarray:
@@ -213,19 +215,26 @@ class _Workspace:
     that repeats the previous policy returns the stored result, since the
     buffers are a function of the policy alone.  A caller that moved exactly
     one switching point by one step since its previous call here may pass
-    that point's index as ``moved``, which skips the scan for it (and the
-    repeat check).
+    that point's index as ``moved``, which goes straight to the one-entry
+    patch and skips the scan for it (and the repeat check).
+
+    The hot path avoids numpy's per-call overhead where the result cannot
+    change: slice views are cached, the dot product is the array method
+    (the same C routine as ``np.dot``, without the dispatch), and single
+    entries are read and written through memoryviews of the buffers.
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "ones_t", "step_buf", "q_buf",
-                 "views", "last", "res")
+                 "step_mv", "q_mv", "views", "last", "res")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
         self.rs = [self.lam / (i * self.mu) for i in range(1, self.n + 1)]
         self.ones_t = _ones_t(self.s)
         self.step_buf = np.empty(self.s + 1)
-        self.q_buf = np.empty(self.s + 1)
+        self.q_buf = np.empty(self.s + 2)  # the mode-anchored layout needs s + 2
+        self.step_mv = memoryview(self.step_buf)
+        self.q_mv = memoryview(self.q_buf)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
         self.last: Policy | None = None
         self.res: tuple[float, float] | None = None  # (B, Wq) of last
@@ -257,9 +266,9 @@ class _Workspace:
                 self._refill(pol, moved)
                 return
         if pol[moved] < last[moved]:
-            self.step_buf[last[moved]] = self.rs[moved]
+            self.step_mv[last[moved]] = self.rs[moved]
         elif moved > 0:
-            self.step_buf[pol[moved]] = self.rs[moved - 1]
+            self.step_mv[pol[moved]] = self.rs[moved - 1]
         # raising k_0 only shrinks the live range; no entry changes
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
@@ -273,10 +282,10 @@ class _Workspace:
             parts = (self.step_buf[k0 + 1:], self.ones_t[k0 + 1:], self.q_buf[:m], m)
             self.views[k0] = parts
         sv, ot, q, m = parts
-        np.multiply.accumulate(sv, out=q)
-        mass, moment = np.dot(q, ot).tolist()
+        _accumulate(sv, out=q)
+        mass, moment = q.dot(ot).tolist()
         tot = 1.0 + mass
-        p_s = float(q[m - 1]) / tot
+        p_s = self.q_mv[m - 1] / tot
         big_l = (k0 + moment) / tot
         # flow balance: admissions lam*(1 - P(S)) match completions mu*F,
         # because the count never drops below the number of workers serving
@@ -297,7 +306,13 @@ class _ModeWorkspace(_Workspace):
     over the inverse ratios below it, so every partial product is at most
     one.  Whether a state lies at or below p depends only on its segment, so
     the ratio table stores inverses on the first i* segments and the shared
-    patching code keeps step_buf right as k_{i*} moves.
+    patching code keeps step_buf right as k_{i*} moves.  q_buf[t + 1] holds
+    q(t).
+
+    A hinted move of an index below i* leaves p where it was and patches a
+    state below p (k_moved < k_{i*}), so the forward half of q, above p, is
+    still right in q_buf and only the backward half is recomputed.  P1's
+    walks on wide instances make almost only such moves.
     """
 
     __slots__ = ("mode",)
@@ -307,19 +322,26 @@ class _ModeWorkspace(_Workspace):
         rs = self.rs
         self.mode = sum(r >= 1.0 for r in rs)
         self.rs = [1.0 / r for r in rs[:self.mode]] + rs[self.mode:]
-        self.q_buf = np.empty(self.s + 2)  # q_buf[t + 1] holds q(t)
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
         if moved < 0 and pol == self.last:
             return self.res
         self._sync(pol, moved)
         k0, p = pol[0], pol[self.mode]
-        q = self.q_buf
-        q[p + 1] = 1.0
-        np.multiply.accumulate(self.step_buf[p + 1:], out=q[p + 2:])
-        np.multiply.accumulate(self.step_buf[p:k0:-1], out=q[p:k0:-1])
-        tot, moment = np.dot(q[k0 + 1:], self.ones_t[k0:]).tolist()
-        p_s = float(q[-1]) / tot
+        # per k_0, built for one p: the views stay valid while p holds still
+        parts = self.views.get(k0)
+        if parts is None or parts[0] != p:
+            sb, qb = self.step_buf, self.q_buf
+            parts = (p, sb[p + 1:], qb[p + 2:], sb[p:k0:-1], qb[p:k0:-1],
+                     qb[k0 + 1:], self.ones_t[k0:])
+            self.views[k0] = parts
+        _, fwd_s, fwd_q, back_s, back_q, q, ot = parts
+        if not 0 <= moved < self.mode:
+            self.q_mv[p + 1] = 1.0
+            _accumulate(fwd_s, out=fwd_q)
+        _accumulate(back_s, out=back_q)
+        tot, moment = q.dot(ot).tolist()
+        p_s = self.q_mv[self.s + 1] / tot
         big_l = moment / tot
         # the base class's flow-balance tail, repeated so that its hot path
         # pays for no extra call

@@ -62,15 +62,32 @@ class DomainStore:
     def contains(self, pol: Policy) -> bool:
         return all(self.lo[i] <= pol[i] <= self.hi[i] for i in range(len(self.lo)))
 
+    # A shrink of a normalized store moves only a run of neighbours, so the
+    # cascade stops at the first index with room; ``_normalize`` gives the
+    # same box in O(N).  Only the shaved index can empty: each cascaded
+    # bound sits one step inside its neighbour's, and lo (or hi) is strictly
+    # increasing, so a cascaded range is no emptier than the shaved one.
+
     def shrink_hi(self, i: int, new_hi: int) -> None:
-        if new_hi < self.hi[i]:
-            self.hi[i] = new_hi
-            self._normalize()
+        hi = self.hi
+        if new_hi < hi[i]:
+            hi[i] = new_hi
+            if new_hi < self.lo[i]:
+                self.failed = True
+            while i > 0 and hi[i - 1] >= hi[i]:
+                i -= 1
+                hi[i] = hi[i + 1] - 1
 
     def raise_lo(self, i: int, new_lo: int) -> None:
-        if new_lo > self.lo[i]:
-            self.lo[i] = new_lo
-            self._normalize()
+        lo = self.lo
+        if new_lo > lo[i]:
+            lo[i] = new_lo
+            if new_lo > self.hi[i]:
+                self.failed = True
+            last = len(lo) - 1
+            while i < last and lo[i + 1] <= lo[i]:
+                i += 1
+                lo[i] = lo[i - 1] + 1
 
     def _normalize(self) -> None:
         n = len(self.lo)

@@ -297,19 +297,28 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
 
 @pytest.mark.parametrize("inst, cls", [
     (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), _Workspace),
-    (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), _ModeWorkspace),
+    (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), _ModeWorkspace),  # mode at S
+    (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),   # mode 8 < N
 ])
 def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     # one workspace driven through repeats, patches and refills must give
-    # exactly what a fresh workspace gives for each policy
+    # exactly what a fresh workspace gives for each policy; hinted moves are
+    # sorted by where they fall against the mode index, because the
+    # mode-anchored workspace keeps its forward half only below it
     assert isinstance(_workspace(inst, threading.get_ident()), cls)
     rng = random.Random(61)
+    mode = _mode_index(inst)
     ws = cls(inst)
     kinds = {}
-    for pol, moved, kind in _mixed_calls(rng, inst, 500):
-        assert ws.b_wq(pol, moved) == cls(inst).b_wq(pol), (kind, pol)
+    for pol, moved, kind in _mixed_calls(rng, inst, 3000):
+        assert ws.b_wq(pol, moved) == cls(inst).b_wq(pol), (kind, moved, pol)
+        if kind == "hinted":
+            kind = ("hinted below", "hinted at", "hinted above")[(moved >= mode) + (moved > mode)]
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert min(kinds[k] for k in ("repeat", "hinted", "unhinted", "jump", "tail jump")) > 20
+    need = ["repeat", "hinted below", "unhinted", "jump", "tail jump"]
+    if mode < inst.N:
+        need += ["hinted at", "hinted above"]
+    assert min(kinds.get(k, 0) for k in need) >= 20, kinds
 
 
 def _evaluate_in_threads(inst, walks, expect, rounds, deadline):

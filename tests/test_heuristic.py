@@ -7,7 +7,7 @@ from types import SimpleNamespace
 from conftest import EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
 from switchq import heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
-from switchq.core import EPS_B, max_backroom_policy, min_wait_policy
+from switchq.core import EPS_B, _ModeWorkspace, max_backroom_policy, min_wait_policy
 from switchq.heuristic import type1_eligible, type2_eligible
 
 # every policy the walk evaluates on EXAMPLE, in order, with its move label
@@ -193,3 +193,16 @@ def test_walk_matches_one_at_a_time_reference():
         assert res.policy == ref_pol
         long_walks += len(ref_trace) > 500
     assert long_walks >= 3
+
+
+def test_wide_walk_matches_fresh_workspaces():
+    # a wide-walk draw with its mode index, 7, inside the policy: the walk's
+    # hinted moves all fall below it, so the mode-anchored workspace keeps
+    # its forward half throughout; each step must read exactly what a fresh
+    # workspace gives for that policy
+    inst = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
+    assert sum(inst.lam / (i * inst.mu) >= 1.0 for i in range(1, inst.N + 1)) == 7
+    res = run_p1(inst)
+    assert res.steps == len(res.trace) == 3451
+    for st in res.trace:
+        assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st

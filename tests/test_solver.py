@@ -125,6 +125,40 @@ def test_constructor_normalizes():
     assert runs[0][0] == OPT_POLICY and runs[0][2] == 24
 
 
+def test_cascading_shrinks_match_a_full_normalize():
+    # shrink_hi and raise_lo cascade from the shaved index only; the box and
+    # the failed flag must be what a full _normalize of the same bound gives
+    rng = random.Random(67)
+    kinds = {"cascade": 0, "fails": 0, "already failed": 0}
+    for _ in range(6000):
+        n = rng.randint(1, 10)
+        s = rng.randint(n + 1, 3 * n + 4)
+        lo = sorted(rng.sample(range(s), n))
+        hi = sorted(rng.sample(range(s), n))
+        if rng.random() < 0.8:   # else the store may start failed
+            hi = [max(a, b) for a, b in zip(lo, hi)]
+        store = DomainStore(lo, hi)
+        was_failed = store.failed
+        i = rng.randrange(n)
+        ref = store.copy()
+        lo, hi = sorted((store.lo[i], store.hi[i]))
+        bound = rng.randint(lo - 2, hi + 2)
+        if rng.random() < 0.5:
+            store.shrink_hi(i, bound)
+            ref.hi[i] = min(ref.hi[i], bound)
+            moved = store.hi != ref.hi
+        else:
+            store.raise_lo(i, bound)
+            ref.lo[i] = max(ref.lo[i], bound)
+            moved = store.lo != ref.lo
+        ref._normalize()
+        assert (store.lo, store.hi, store.failed) == (ref.lo, ref.hi, ref.failed)
+        kinds["cascade"] += moved
+        kinds["fails"] += store.failed and not was_failed
+        kinds["already failed"] += was_failed
+    assert min(kinds.values()) >= 300, kinds
+
+
 # ---------------------------------------------------------------------------
 # corner completions
 
