@@ -35,19 +35,30 @@ _NEAR_ONE_TOL_FM = 1e-3  # wider window for the first moment (quadratic cancella
 _LOG_SPACE_LIMIT = 300.0  # exponent * |ln ratio| beyond this: work with logarithms
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
+_LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
 
 Policy = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Instance:
-    """One staffing problem: capacity, workers, rates, back-room target."""
+    """One staffing problem: capacity, workers, rates, back-room target.
+
+    The hash is the dataclass's own, taken once at construction: the
+    evaluator looks its workspace up by instance on every call.
+    """
 
     S: int
     N: int
     lam: float
     mu: float
     Bl: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.S, self.N, self.lam, self.mu, self.Bl)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass
@@ -204,19 +215,17 @@ def _ones_t(s: int) -> np.ndarray:
 class _Workspace:
     """Reusable buffers for ``evaluate_b_wq`` on one instance in one thread.
 
-    step_buf[t] holds the balance ratio into state t for the policy of the
-    previous call, and the product runs forward from q(k_0) = 1.  It peaks
-    where the per-state ratio crosses one and only shrinks afterwards, so it
-    stays in float range while S * ln(lam/mu) is small (a tail that
-    underflows to zero is harmless).  Search and heuristic walks move one
-    switching point by one step at a time, which changes the segment of a
-    single state, so most calls patch one entry; a call that moves several
-    points rewrites the buffer from the first moved point on, and a call
-    that repeats the previous policy returns the stored result, since the
-    buffers are a function of the policy alone.  A caller that moved exactly
+    step_buf[t] holds the balance ratio into state t, t = k_0 + 1..S, for
+    the policy of the previous call, and the product runs forward from
+    q(k_0) = 1.  It peaks where the per-state ratio crosses one and only
+    shrinks afterwards, so it stays in float range while S * ln(lam/mu) is
+    small (a tail that underflows to zero is harmless).  Each call rewrites
+    only the states whose segment changed (``_sync``), and a call that
+    repeats the previous policy returns the stored result, since those
+    ratios are a function of the policy alone.  A caller that moved exactly
     one switching point by one step since its previous call here may pass
     that point's index as ``moved``, which goes straight to the one-entry
-    patch and skips the scan for it (and the repeat check).
+    patch and skips the search for the moved points (and the repeat check).
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -224,12 +233,13 @@ class _Workspace:
     entries are read and written through memoryviews of the buffers.
     """
 
-    __slots__ = ("s", "n", "lam", "mu", "rs", "ones_t", "step_buf", "q_buf",
+    __slots__ = ("s", "n", "lam", "mu", "rs", "rs_arr", "ones_t", "step_buf", "q_buf",
                  "step_mv", "q_mv", "views", "last", "res")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
         self.rs = [self.lam / (i * self.mu) for i in range(1, self.n + 1)]
+        self.rs_arr = np.array(self.rs)
         self.ones_t = _ones_t(self.s)
         self.step_buf = np.empty(self.s + 1)
         self.q_buf = np.empty(self.s + 2)  # the mode-anchored layout needs s + 2
@@ -239,37 +249,74 @@ class _Workspace:
         self.last: Policy | None = None
         self.res: tuple[float, float] | None = None  # (B, Wq) of last
 
-    def _refill(self, pol: Policy, first: int) -> None:
-        """Rewrite step_buf above k_g, g = max(first - 1, 0), from pol's
-        segments, in plain Python.  first is the first index where pol
-        differs from the buffer's policy, so the states at or below k_g
-        keep their ratios."""
-        g = first - 1 if first else 0
-        rs = self.rs
-        run: list[float] = []
-        for i in range(g, self.n):
-            run += [rs[i]] * (pol[i + 1] - pol[i])
-        self.step_buf[pol[g] + 1:] = run
-
     def _sync(self, pol: Policy, moved: int) -> None:
+        """Bring step_buf from the previous call's policy to pol.
+
+        A state changes segment only between the first and the last moved
+        switching points, f and l: both policies agree on which points lie
+        below a state at or below min(old k_f, new k_f), and on which lie
+        above a state past max(old k_l, new k_l).  So an unhinted call
+        rewrites just the states in between, taking each ratio from pol's
+        segments; a +-1 move is a one-state range, and a fresh workspace
+        fills (k_0, S].  l is the last index when that point moved, f when
+        the tails after f agree, and otherwise found by a window of C-level
+        tuple compares that doubles from the end and then halves, so a long
+        unmoved tail costs no Python-level scan.  Short ranges are written
+        state by state through the memoryview; past _LONG_RUN states, one
+        np.repeat over the segment lengths is cheaper.
+        """
         last = self.last
         self.last = pol
-        if moved < 0:
-            if last is None:
-                self._refill(pol, 0)
-                return
-            for i in range(self.n):
-                if pol[i] != last[i]:
-                    moved = i
-                    break
-            if abs(pol[moved] - last[moved]) != 1 or pol[moved + 1:] != last[moved + 1:]:
-                self._refill(pol, moved)
-                return
-        if pol[moved] < last[moved]:
-            self.step_mv[last[moved]] = self.rs[moved]
-        elif moved > 0:
-            self.step_mv[pol[moved]] = self.rs[moved - 1]
-        # raising k_0 only shrinks the live range; no entry changes
+        if moved >= 0:
+            if pol[moved] < last[moved]:
+                self.step_mv[last[moved]] = self.rs[moved]
+            elif moved > 0:
+                self.step_mv[pol[moved]] = self.rs[moved - 1]
+            # raising k_0 only shrinks the live range; no entry changes
+            return
+        if last is None:
+            i, t, j, end = 0, pol[0], self.n - 1, self.s
+        else:
+            f = 0
+            while pol[f] == last[f]:
+                f += 1
+            l = self.n - 1
+            if pol[l] == last[l]:
+                if pol[f + 1:] == last[f + 1:]:
+                    l = f
+                else:
+                    # the tails from hi on agree; l lies in [hi - w, hi)
+                    hi, w = l, 1
+                    while pol[hi - w:hi] == last[hi - w:hi]:
+                        hi -= w
+                        w = 2 * w if 2 * w < hi - f else hi - f
+                    l = hi - w
+                    while hi - l > 1:
+                        mid = (l + hi) // 2
+                        if pol[mid:hi] == last[mid:hi]:
+                            hi = mid
+                        else:
+                            l = mid
+            # states t + 1..end change; t + 1 lies on segment i and end on
+            # segment j of pol, segment i being (k_i, k_{i+1}]
+            if f == 0 or pol[f] < last[f]:
+                i, t = f, pol[f]
+            else:
+                i, t = f - 1, last[f]
+            if pol[l] > last[l]:
+                j, end = l - 1, pol[l]
+            else:
+                j, end = l, last[l]
+        if end - t > _LONG_RUN:
+            self.step_buf[t + 1:end + 1] = self.rs_arr[i:j + 1].repeat(
+                np.diff((t, *pol[i + 1:j + 1], end)))
+            return
+        mv, rs = self.step_mv, self.rs
+        while t < end:
+            t += 1
+            if t > pol[i + 1]:
+                i += 1
+            mv[t] = rs[i]
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
         if moved < 0 and pol == self.last:
@@ -322,6 +369,7 @@ class _ModeWorkspace(_Workspace):
         rs = self.rs
         self.mode = sum(r >= 1.0 for r in rs)
         self.rs = [1.0 / r for r in rs[:self.mode]] + rs[self.mode:]
+        self.rs_arr = np.array(self.rs)
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
         if moved < 0 and pol == self.last:

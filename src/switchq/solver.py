@@ -338,26 +338,33 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     lo, hi = store.lo, store.hi
     target = inst.Bl - EPS_B
 
-    def descend(depth: int, prefix: Policy) -> None:
+    # an explicit stack, one (prefix, remaining child values) pair per open
+    # node, so that depth (up to N) never meets the interpreter's recursion
+    # limit; nodes are visited in the order of a recursive descent
+    stack: list = []
+    prefix: Policy = ()
+    while True:
         _check_deadline(deadline)
         stats.nodes += 1
+        depth = len(prefix)
         if depth == n:
             pol = prefix + (s,)
             b, wq = _eval(inst, pol, stats)
             if b >= target and inc.consider(pol, wq) and restart_on_improve:
                 raise _Improved
+        elif (_eval(inst, gmax(inst, store, prefix), stats)[0] >= target
+              and _eval(inst, gmin(inst, store, prefix), stats)[1] < inc.wq - EPS_WQ):
+            floor = prefix[-1] + 1 if depth else 0
+            stack.append((prefix, iter(range(max(lo[depth], floor), hi[depth] + 1))))
+        while stack:
+            base, values = stack[-1]
+            v = next(values, None)
+            if v is not None:
+                prefix = base + (v,)
+                break
+            stack.pop()
+        else:
             return
-        b, _ = _eval(inst, gmax(inst, store, prefix), stats)
-        if b < target:
-            return
-        _, wq = _eval(inst, gmin(inst, store, prefix), stats)
-        if wq >= inc.wq - EPS_WQ:
-            return
-        floor = prefix[-1] + 1 if depth else 0
-        for v in range(max(lo[depth], floor), hi[depth] + 1):
-            descend(depth + 1, prefix + (v,))
-
-    descend(0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from conftest import EXAMPLE, OPT_POLICY, WQ_OPT_CLOSED
-from switchq import Instance, evaluate_b_wq, max_backroom_policy, write_instances
+from switchq import (Instance, evaluate_b_wq, max_backroom_policy, min_wait_policy,
+                     write_instances)
 from switchq.cli import (BENCH_METHODS, SuiteRecord, TracePoint,
                          best_known_table, incumbent_at, main, mre, mre_curve,
                          read_records, read_trace_points, run_suite, trace_path,
@@ -81,6 +82,20 @@ def test_solve_command(example_file, capsys):
 def test_solve_infeasible_exit_code(example_file):
     assert main(["solve", "--instance-file", example_file, "--index", "1",
                  "--strategy", "none"]) == 2
+
+
+def test_solve_deep_search_times_out_cleanly(tmp_path, capsys):
+    # N = 1200: search runs deeper than the interpreter's recursion limit
+    base = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)
+    bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
+          + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
+    path = tmp_path / "deep.txt"
+    write_instances(path, [Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=bl)])
+    rc = main(["solve", "--instance-file", str(path), "--index", "0",
+               "--strategy", "none", "--time-limit", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status timeout-with-incumbent" in out and "proof no" in out
 
 
 def test_brute_command(example_file, capsys):

@@ -1,6 +1,8 @@
 """Evaluator tests: validation, golden values, route agreement, stability."""
 
+import dataclasses
 import math
+import pickle
 import random
 import sys
 import threading
@@ -265,8 +267,9 @@ def test_evaluate_b_wq_wide_agrees_with_oracles():
 
 def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
     """(policy, moved hint, kind) for one workspace: repeats of the previous
-    policy (as an equal copy), +-1 moves with and without the hint, and
-    jumps that move several points from some index on."""
+    policy (as an equal copy), +-1 moves with and without the hint, jumps
+    that move several points from some index on, and middle jumps that move
+    a bounded run of points and leave the tail alone."""
     n, s = inst.N, inst.S
     pol = random_policy(rng, inst)
     out = [(pol, -1, "first")]
@@ -275,7 +278,7 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
         if r < 0.2:
             out.append((tuple(list(pol)), -1, "repeat"))
             continue
-        if r < 0.65:
+        if r < 0.6:
             i = rng.randrange(n)
             v = pol[i] + rng.choice((-1, 1))
             if not (pol[i - 1] if i else -1) < v < pol[i + 1]:
@@ -285,12 +288,15 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
             out.append((new, i if hinted else -1, "hinted" if hinted else "unhinted"))
         else:
             a = 0 if rng.random() < 0.3 else rng.randrange(n)
+            b = n if r < 0.8 else rng.randrange(a + 1, n + 1)  # points a..b-1 move
             floor = pol[a - 1] + 1 if a else 0
-            new = pol[:a] + tuple(sorted(rng.sample(range(floor, s), n - a))) + (s,)
+            new = pol[:a] + tuple(sorted(rng.sample(range(floor, pol[b]), b - a))) + pol[b:]
             moved = [i for i in range(n) if new[i] != pol[i]]
             if len(moved) < 2 and (not moved or abs(new[moved[0]] - pol[moved[0]]) == 1):
                 continue
-            out.append((new, -1, "jump" if moved[0] == 0 else "tail jump"))
+            kind = ("middle jump" if moved[-1] < n - 1
+                    else "jump" if moved[0] == 0 else "tail jump")
+            out.append((new, -1, kind))
         pol = out[-1][0]
     return out
 
@@ -301,8 +307,9 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
     (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),   # mode 8 < N
 ])
 def test_workspace_results_depend_on_the_policy_alone(inst, cls):
-    # one workspace driven through repeats, patches and refills must give
-    # exactly what a fresh workspace gives for each policy; hinted moves are
+    # one workspace driven through repeats, patches and bounded rewrites
+    # must give exactly what a fresh workspace gives for each policy, and
+    # hold the same ratios on the live states k_0+1..S; hinted moves are
     # sorted by where they fall against the mode index, because the
     # mode-anchored workspace keeps its forward half only below it
     assert isinstance(_workspace(inst, threading.get_ident()), cls)
@@ -311,11 +318,14 @@ def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     ws = cls(inst)
     kinds = {}
     for pol, moved, kind in _mixed_calls(rng, inst, 3000):
-        assert ws.b_wq(pol, moved) == cls(inst).b_wq(pol), (kind, moved, pol)
+        fresh = cls(inst)
+        assert ws.b_wq(pol, moved) == fresh.b_wq(pol), (kind, moved, pol)
+        live = slice(pol[0] + 1, None)
+        assert ws.step_buf[live].tolist() == fresh.step_buf[live].tolist(), (kind, moved, pol)
         if kind == "hinted":
             kind = ("hinted below", "hinted at", "hinted above")[(moved >= mode) + (moved > mode)]
         kinds[kind] = kinds.get(kind, 0) + 1
-    need = ["repeat", "hinted below", "unhinted", "jump", "tail jump"]
+    need = ["repeat", "hinted below", "unhinted", "jump", "tail jump", "middle jump"]
     if mode < inst.N:
         need += ["hinted at", "hinted above"]
     assert min(kinds.get(k, 0) for k in need) >= 20, kinds
@@ -364,3 +374,20 @@ def test_evaluate_b_wq_is_thread_safe():
             assert not wrong, (inst, len(wrong), wrong[:3])
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_instance_hash_keeps_the_dataclass_behaviour():
+    a = Instance(S=12, N=4, lam=7.5, mu=1.25, Bl=1.0)
+    b = Instance(12, 4, 7.5, 1.25, 1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((12, 4, 7.5, 1.25, 1.0))  # the dataclass's own hash
+    assert repr(a) == "Instance(S=12, N=4, lam=7.5, mu=1.25, Bl=1.0)"
+    assert {a: "x"}[b] == "x" and len({a, b}) == 1
+    c = dataclasses.replace(a, Bl=2.0)
+    assert c != a and c == Instance(12, 4, 7.5, 1.25, 2.0)
+    assert hash(c) == hash((12, 4, 7.5, 1.25, 2.0))
+    d = pickle.loads(pickle.dumps(a))
+    assert d == a and hash(d) == hash(a) and repr(d) == repr(a)
+    assert dataclasses.astuple(a) == (12, 4, 7.5, 1.25, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.S = 13

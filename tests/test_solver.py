@@ -10,9 +10,9 @@ from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, WQ_OPT, random_instance,
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, generate, max_backroom_policy,
                      min_wait_policy, run_p1, search, solve)
-from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _Improved, alternating_shave,
-                            bl_gmax_probe, bl_gmin_probe, bl_shave, gmax, gmin,
-                            wq_gmin_probe, wq_shave)
+from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _eval, _Improved,
+                            alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
+                            gmax, gmin, wq_gmin_probe, wq_shave)
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
 EASY = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.1)   # all-early is feasible
@@ -369,6 +369,82 @@ def test_search_restart_signal():
     with pytest.raises(_Improved):
         search(EXAMPLE, store, inc, stats, restart_on_improve=True)
     assert inc.wq < evaluate_b_wq(EXAMPLE, max_backroom_policy(EXAMPLE))[1]
+
+
+def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
+    """The recursive descent search replaced by its explicit stack: the
+    reference for visit order, counts and the restart signal."""
+    if store.failed:
+        return
+    n, s = inst.N, inst.S
+    target = inst.Bl - EPS_B
+
+    def descend(depth, prefix):
+        stats.nodes += 1
+        if depth == n:
+            pol = prefix + (s,)
+            b, wq = _eval(inst, pol, stats)
+            if b >= target and inc.consider(pol, wq) and restart_on_improve:
+                raise _Improved
+            return
+        if _eval(inst, gmax(inst, store, prefix), stats)[0] < target:
+            return
+        if _eval(inst, gmin(inst, store, prefix), stats)[1] >= inc.wq - EPS_WQ:
+            return
+        floor = prefix[-1] + 1 if depth else 0
+        for v in range(max(store.lo[depth], floor), store.hi[depth] + 1):
+            descend(depth + 1, prefix + (v,))
+
+    descend(0, ())
+
+
+def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
+    # same evaluated policies in the same order, same counts, same incumbent
+    # and the same restart point as the recursive descent
+    import switchq.solver as solver_mod
+    rng = random.Random(83)
+    seen = []
+
+    def recording(inst, pol):
+        seen.append(pol)
+        return evaluate_b_wq(inst, pol)
+
+    monkeypatch.setattr(solver_mod, "evaluate_b_wq", recording)
+    cases = desk_suite[:40] + [random_instance(rng, 3, 12) for _ in range(60)]
+    for k, inst in enumerate(cases):
+        restart = k % 3 == 0
+        runs = []
+        for fn in (search, _recursive_search):
+            store, stats, inc = fresh_parts(inst)
+            seen.clear()
+            try:
+                fn(inst, store, inc, stats, restart_on_improve=restart)
+                raised = False
+            except _Improved:
+                raised = True
+            runs.append((list(seen), stats, inc.policy, inc.wq, raised))
+        assert runs[0] == runs[1], inst
+
+
+def test_search_reaches_depths_past_the_recursion_limit(monkeypatch):
+    # N = 1200 switching points: a recursive descent overflows the
+    # interpreter's stack near depth 1000; the explicit stack times out cleanly
+    import switchq.solver as solver_mod
+    base = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)
+    bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
+          + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
+    inst = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=bl)
+    depth = [0]
+
+    def deepest_gmax(inst, store, head=(), start=0):
+        depth[0] = max(depth[0], len(head))
+        return gmax(inst, store, head, start)
+
+    monkeypatch.setattr(solver_mod, "gmax", deepest_gmax)
+    res = solve(inst, SolverConfig(strategy="none", time_limit=2.0))
+    assert res.status == "timeout-with-incumbent" and not res.proof
+    assert res.wq == evaluate_b_wq(inst, res.incumbent)[1]
+    assert depth[0] > 1000
 
 
 def _dominance_cut(pol, n):
