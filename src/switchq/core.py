@@ -16,8 +16,9 @@ Policies must keep B at or above the target Bl while minimizing Wq.
 Two independent evaluation routes are provided.  ``evaluate_direct`` runs the
 birth-death balance recursion state by state; ``evaluate_closed_form``
 assembles the same distribution from geometric-series identities anchored at
-the switching points.  They must agree to near machine precision, and the
-test suite leans on that redundancy.
+the switching points, always in log space, and takes the admitted share
+1 - P(S) as the summed mass of the states below S.  They must agree to near
+machine precision, and the test suite leans on that redundancy.
 """
 
 import math
@@ -29,10 +30,7 @@ import numpy as np
 
 EPS_B = 1e-9
 
-# Ratio handling for the geometric series in the closed forms.
-_NEAR_ONE_TOL = 1e-6    # |r - 1| below this: sum term by term, the quotient form cancels
-_NEAR_ONE_TOL_FM = 1e-3  # wider window for the first moment (quadratic cancellation)
-_LOG_SPACE_LIMIT = 300.0  # exponent * |ln ratio| beyond this: work with logarithms
+_NEAR_ONE_TOL = 1e-3  # |r - 1| below this: the closed first moment sums term by term
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
 _LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
@@ -419,165 +417,84 @@ def _fast_eval(inst: Instance):
 
 
 # ---------------------------------------------------------------------------
-# closed-form route: geometric series anchored at the switching points
-
-
-def _geom_sum(r: float, n: int) -> float:
-    """Sum of r**t for t in 0..n-1, stable near r = 1."""
-    if n <= 0:
-        return 0.0
-    if r == 1.0:
-        return float(n)
-    if abs(r - 1.0) < _NEAR_ONE_TOL:
-        return math.fsum(r ** t for t in range(n))
-    return (1.0 - r ** n) / (1.0 - r)
-
-
-def _geom_first_moment(r: float, n: int) -> float:
-    """Sum of t * r**t for t in 0..n-1.
-
-    The quotient form cancels quadratically at r = 1, so the term-by-term
-    window is wider here than for the plain sum.
-    """
-    if n <= 1:
-        return 0.0
-    if r == 1.0:
-        return n * (n - 1) / 2.0
-    d = r - 1.0
-    if abs(d) < _NEAR_ONE_TOL_FM:
-        return math.fsum(t * r ** t for t in range(1, n))
-    return r * (1.0 - n * r ** (n - 1) + (n - 1) * r ** n) / (d * d)
+# closed-form route: geometric series anchored at the switching points, in logs
 
 
 def _log_geom_sum(r: float, n: int) -> float:
-    """log of _geom_sum(r, n) without leaving float range."""
-    if n <= 0:
-        return -math.inf
+    """log of the sum of r**t for t in 0..n-1, n >= 1.
+
+    expm1 keeps 1 - r**n accurate to a few ulps however close r lies to
+    one, and factoring r**n out when r > 1 keeps every step in float range.
+    """
     if r == 1.0:
         return math.log(n)
-    if abs(r - 1.0) < _NEAR_ONE_TOL:
-        return math.log(math.fsum(r ** t for t in range(n)))
+    y = n * math.log(r)
     if r < 1.0:
-        return math.log1p(-(r ** n)) - math.log1p(-r)
-    return n * math.log(r) + math.log1p(-(r ** -n)) - math.log(r - 1.0)
+        return math.log(-math.expm1(y)) - math.log(1.0 - r)
+    return y + math.log(-math.expm1(-y)) - math.log(r - 1.0)
+
+
+def _log_geom_first_moment(r: float, n: int) -> float:
+    """log of the sum of t * r**t for t in 0..n-1.
+
+    The quotient form r * (m*d*r**m - (r**m - 1)) / d**2, with m = n - 1
+    and d = r - 1, cancels quadratically as r nears one, so the window
+    around it sums term by term.  Outside the window expm1 bounds the
+    cancellation at about a thousand ulps at its edge, and r**m is factored
+    out when r > 1.
+    """
+    if n <= 1:
+        return -math.inf
+    d = r - 1.0
+    if abs(d) < _NEAR_ONE_TOL:
+        return math.log(math.fsum(t * r ** t for t in range(1, n)))
+    lr = math.log(r)
+    y = (n - 1) * lr
+    if r < 1.0:
+        return lr + math.log((n - 1) * d * math.exp(y) - math.expm1(y)) - 2.0 * math.log(-d)
+    return lr + y + math.log((n - 1) * d + math.expm1(-y)) - 2.0 * math.log(d)
 
 
 def _logsumexp(xs: list[float]) -> float:
     m = max(xs)
-    if m == -math.inf:
-        return m
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
 
 
-def _log_geom_first_moment(r: float, n: int) -> float:
-    """log of _geom_first_moment(r, n) without leaving float range."""
-    if n <= 1:
-        return -math.inf
-    if abs(r - 1.0) < _NEAR_ONE_TOL_FM:
-        return math.log(math.fsum(t * r ** t for t in range(1, n)))
-    lr = math.log(r)
-    return _logsumexp([math.log(t) + t * lr for t in range(1, n)])
-
-
-def _needs_log_space(inst: Instance, pol: Policy) -> bool:
-    """True when some power in the closed forms would strain float range."""
-    lam, mu = inst.lam, inst.mu
-    llm = abs(math.log(lam / mu))
-    lx = 0.0
-    for i in range(1, inst.N + 1):
-        if (pol[i - 1] - pol[0] + 1) * llm > _LOG_SPACE_LIMIT:
-            return True
-        r = lam / (i * mu)
-        if (pol[i] - pol[i - 1]) * abs(math.log(r)) > _LOG_SPACE_LIMIT:
-            return True
-        if i >= 2:
-            lx += (pol[i - 1] - pol[i - 2]) * math.log(i - 1)
-            if lx > _LOG_SPACE_LIMIT:
-                return True
-    return False
-
-
-def _aggregates_plain(inst: Instance, pol: Policy):
-    """Closed-form anchors and aggregates in ordinary arithmetic.
-
-    Returns (pk, rs, logpk, F, L) where pk[i] = P(k_i), rs[i] is the ratio on
-    the segment starting at k_i, and logpk is None on this route.
-    """
-    s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
-    lam_mu = lam / mu
-    x = 1.0
-    bsums = [1.0]
-    for i in range(1, n + 1):
-        if i >= 2:
-            x *= (1.0 / (i - 1)) ** (pol[i - 1] - pol[i - 2])
-        r = lam / (i * mu)
-        bsums.append(x * lam_mu ** (pol[i - 1] - pol[0] + 1) / i * _geom_sum(r, pol[i] - pol[i - 1]))
-    pk = [1.0 / math.fsum(bsums)]
-    rs = [lam / ((i + 1) * mu) for i in range(n)]
-    for i in range(n):
-        pk.append(pk[i] * rs[i] ** (pol[i + 1] - pol[i]))
-    psums = [pk[i] * _geom_sum(rs[i], pol[i + 1] - pol[i]) for i in range(n)]
-    f = math.fsum((i + 1) * (psums[i] - pk[i] + pk[i + 1]) for i in range(n))
-    big_l = math.fsum(pol[i] * psums[i] + pk[i] * _geom_first_moment(rs[i], pol[i + 1] - pol[i])
-                      for i in range(n)) + s * pk[n]
-    return pk, rs, None, f, big_l
-
-
-def _aggregates_log(inst: Instance, pol: Policy):
-    """Same anchors and aggregates computed through logarithms."""
-    s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
-    llm = math.log(lam / mu)
-    lx = 0.0
-    logb = [0.0]
-    for i in range(1, n + 1):
-        if i >= 2:
-            lx -= (pol[i - 1] - pol[i - 2]) * math.log(i - 1)
-        r = lam / (i * mu)
-        logb.append(lx + (pol[i - 1] - pol[0] + 1) * llm - math.log(i)
-                    + _log_geom_sum(r, pol[i] - pol[i - 1]))
-    logz = _logsumexp(logb)
-    rs = [lam / ((i + 1) * mu) for i in range(n)]
-    logpk = [-logz]
-    for i in range(n):
-        logpk.append(logpk[i] + (pol[i + 1] - pol[i]) * math.log(rs[i]))
-    pk = [math.exp(v) for v in logpk]
-    psums = [math.exp(logpk[i] + _log_geom_sum(rs[i], pol[i + 1] - pol[i])) for i in range(n)]
-    f = math.fsum((i + 1) * (psums[i] - pk[i] + pk[i + 1]) for i in range(n))
-    parts = []
-    for i in range(n):
-        d = pol[i + 1] - pol[i]
-        fm = math.exp(logpk[i] + _log_geom_first_moment(rs[i], d)) if d > 1 else 0.0
-        parts.append(pol[i] * psums[i] + fm)
-    big_l = math.fsum(parts) + s * pk[n]
-    return pk, rs, logpk, f, big_l
-
-
 def evaluate_closed_form(inst: Instance, pol: Policy) -> Metrics:
-    """Evaluate a policy from geometric-series identities.
+    """Evaluate a policy from geometric-series identities, in log space.
 
-    Switches to log-space arithmetic when the involved powers would strain
-    float range; agreement with evaluate_direct is then slightly looser.
+    With q(k_0) = 1, log q(k_{i+1}) = log q(k_i) + (k_{i+1} - k_i) * log r_i,
+    where r_i = lam / ((i+1) mu) is the ratio on the states [k_i, k_{i+1}).
+    Each such run of states carries q(k_i) times a geometric sum, and the
+    normalizer is the logsumexp of those masses and q(S), so no power leaves
+    float range.  The admitted share 1 - P(S) is the sum of the masses below
+    S, not a subtraction from one, which would cancel when blocking is heavy.
     """
     validate_instance(inst)
     validate_policy(inst, pol)
     s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
-    if _needs_log_space(inst, pol):
-        pk, rs, logpk, f, big_l = _aggregates_log(inst, pol)
-    else:
-        pk, rs, logpk, f, big_l = _aggregates_plain(inst, pol)
+    rs = [lam / ((i + 1) * mu) for i in range(n)]
+    lrs = [math.log(r) for r in rs]
+    logq = [0.0]
+    for i in range(n):
+        logq.append(logq[i] + (pol[i + 1] - pol[i]) * lrs[i])
+    logseg = [logq[i] + _log_geom_sum(rs[i], pol[i + 1] - pol[i]) for i in range(n)]
+    logz = _logsumexp(logseg + [logq[n]])
+    logpk = [v - logz for v in logq]
+    psums = [math.exp(v - logz) for v in logseg]  # P of the states [k_i, k_{i+1})
     p = [0.0] * (s + 1)
     for i in range(n):
-        if logpk is None:
-            for j in range(pol[i], pol[i + 1]):
-                p[j] = pk[i] * rs[i] ** (j - pol[i])
-        else:
-            lr = math.log(rs[i])
-            for j in range(pol[i], pol[i + 1]):
-                p[j] = math.exp(logpk[i] + (j - pol[i]) * lr)
-    p[s] = pk[n]
-    admitted = lam * (1.0 - pk[n])
+        for j in range(pol[i], pol[i + 1]):
+            p[j] = math.exp(logpk[i] + (j - pol[i]) * lrs[i])
+    p[s] = p_s = math.exp(logpk[n])
+    # the states (k_i, k_{i+1}], served by i + 1 workers, carry r_i * psums[i]
+    f = math.fsum((i + 1) * rs[i] * psums[i] for i in range(n))
+    big_l = math.fsum([pol[i] * psums[i]
+                       + math.exp(logpk[i] + _log_geom_first_moment(rs[i], pol[i + 1] - pol[i]))
+                       for i in range(n)] + [s * p_s])
+    admitted = lam * math.fsum(psums) if p_s < 1.0 else 0.0
     wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return Metrics(p=p, F=f, B=n - f, L=big_l, Wq=wq, pBlock=pk[n])
+    return Metrics(p=p, F=f, B=n - f, L=big_l, Wq=wq, pBlock=p_s)
 
 
 def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:

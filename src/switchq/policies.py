@@ -32,7 +32,7 @@ ENUMERATION_LIMIT = 10_000_000
 
 # policies * (S + 1) per screening block; bounds the memory a block takes.
 # The per-block cost is mostly fixed numpy call overhead, so the judge's
-# speed grows almost in proportion to this budget (see ROADMAP, Direction 4).
+# speed grows almost in proportion to this budget (see ROADMAP, Direction 1).
 _BLOCK_ELEMENTS = 1 << 9
 
 

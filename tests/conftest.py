@@ -19,7 +19,7 @@ from switchq.solver import SolverConfig, solve
 EXAMPLE = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.32)
 OPT_POLICY = (0, 3, 4, 6)
 WQ_OPT = 0.3063230008984726          # direct-recursion route
-WQ_OPT_CLOSED = 0.3063230008984725   # closed-form route, one ulp away
+WQ_OPT_CLOSED = 0.3063230008984728   # closed-form route, in logs: four ulps away
 
 # B and Wq for hand-picked policies on EXAMPLE, frozen at seven digits
 GOLDEN_B_WQ = {
@@ -33,6 +33,8 @@ GOLDEN_B_WQ = {
 
 DESK_SPEC = GenSpec(s_values=(10, 12, 14, 16, 18), per_s_count=40, seed=20250823)
 TALL_SPEC = GenSpec(s_values=(60, 80, 100), per_s_count=3, seed=71)
+
+_LOG_SPACE_LIMIT = 300.0  # exponent * |ln ratio| beyond this: plain powers strain float range
 
 
 def rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -67,13 +69,35 @@ def near_unit_pair(rng: random.Random) -> tuple[Instance, tuple[int, ...]]:
 
 
 def log_space_pair(rng: random.Random) -> tuple[Instance, tuple[int, ...]]:
-    """Instance and policy whose closed forms need log-space arithmetic."""
+    """Instance and policy whose closed forms strain float range outside logs."""
     s = rng.randint(40, 100)
     n = rng.randint(1, min(s - 1, 20))
     mu = rng.uniform(0.01, 1.0)
     lam = mu * math.exp(rng.uniform(4.0, 12.0) * rng.choice((1.0, -1.0)))
     inst = Instance(S=s, N=n, lam=lam, mu=mu, Bl=rng.uniform(0.0, n))
     return inst, random_policy(rng, inst)
+
+
+def _needs_log_space(inst: Instance, pol: tuple[int, ...]) -> bool:
+    """True when some power in the closed forms would strain float range.
+
+    The closed form works in log space for every pair; this sorts sampled
+    pairs into the extreme regime that plain arithmetic could not handle.
+    """
+    lam, mu = inst.lam, inst.mu
+    llm = abs(math.log(lam / mu))
+    lx = 0.0
+    for i in range(1, inst.N + 1):
+        if (pol[i - 1] - pol[0] + 1) * llm > _LOG_SPACE_LIMIT:
+            return True
+        r = lam / (i * mu)
+        if (pol[i] - pol[i - 1]) * abs(math.log(r)) > _LOG_SPACE_LIMIT:
+            return True
+        if i >= 2:
+            lx += (pol[i - 1] - pol[i - 2]) * math.log(i - 1)
+            if lx > _LOG_SPACE_LIMIT:
+                return True
+    return False
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (EXAMPLE, GOLDEN_B_WQ, log_space_pair, near_unit_pair,
-                      random_instance, random_policy, rel_close)
+from conftest import (EXAMPLE, GOLDEN_B_WQ, _needs_log_space, log_space_pair,
+                      near_unit_pair, random_instance, random_policy, rel_close)
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, validate_instance, validate_policy)
-from switchq.core import (_geom_first_moment, _geom_sum, _ModeWorkspace, _needs_log_space,
+from switchq.core import (_log_geom_first_moment, _log_geom_sum, _ModeWorkspace,
                           _Workspace, _workspace)
 
 
@@ -122,14 +122,13 @@ def test_routes_agree_generic():
     for _ in range(1500):
         inst = random_instance(rng)
         pol = random_policy(rng, inst)
-        tol = 1e-6 if _needs_log_space(inst, pol) else 1e-9
         md = evaluate_direct(inst, pol)
         mc = evaluate_closed_form(inst, pol)
-        assert rel_close(md.F, mc.F, tol)
-        assert rel_close(md.B, mc.B, tol)
-        assert rel_close(md.L, mc.L, tol)
-        assert rel_close(md.Wq, mc.Wq, tol)
-        assert rel_close(md.pBlock, mc.pBlock, tol)
+        assert rel_close(md.F, mc.F)
+        assert rel_close(md.B, mc.B)
+        assert rel_close(md.L, mc.L)
+        assert rel_close(md.Wq, mc.Wq)
+        assert rel_close(md.pBlock, mc.pBlock)
 
 
 def test_routes_agree_near_unit_ratio():
@@ -138,10 +137,9 @@ def test_routes_agree_near_unit_ratio():
         inst, pol = near_unit_pair(rng)
         md = evaluate_direct(inst, pol)
         mc = evaluate_closed_form(inst, pol)
-        tol = 1e-6 if _needs_log_space(inst, pol) else 1e-9
-        assert rel_close(md.B, mc.B, tol)
-        assert rel_close(md.Wq, mc.Wq, tol)
-        assert rel_close(md.L, mc.L, tol)
+        assert rel_close(md.B, mc.B)
+        assert rel_close(md.Wq, mc.Wq)
+        assert rel_close(md.L, mc.L)
 
 
 def test_routes_agree_log_space():
@@ -149,15 +147,13 @@ def test_routes_agree_log_space():
     hits = 0
     for _ in range(300):
         inst, pol = log_space_pair(rng)
-        needed = _needs_log_space(inst, pol)
-        hits += needed
+        hits += _needs_log_space(inst, pol)
         md = evaluate_direct(inst, pol)
         mc = evaluate_closed_form(inst, pol)
-        tol = 1e-6 if needed else 1e-9
-        assert rel_close(md.B, mc.B, tol)
-        assert rel_close(md.Wq, mc.Wq, tol)
+        assert rel_close(md.B, mc.B)
+        assert rel_close(md.Wq, mc.Wq)
         for i in range(inst.N + 1):
-            assert rel_close(md.p[pol[i]], mc.p[pol[i]], tol)
+            assert rel_close(md.p[pol[i]], mc.p[pol[i]])
     assert hits > 50
 
 
@@ -169,8 +165,8 @@ def test_rescaling_survives_extreme_drift():
         md = evaluate_direct(inst, pol)
         mc = evaluate_closed_form(inst, pol)
         assert math.isfinite(md.L) and math.isfinite(mc.L)
-        assert rel_close(md.B, mc.B, 1e-6)
-        assert rel_close(md.Wq, mc.Wq, 1e-6)
+        assert rel_close(md.B, mc.B)
+        assert rel_close(md.Wq, mc.Wq)
 
 
 def test_blocked_solid_returns_infinite_wait():
@@ -180,12 +176,52 @@ def test_blocked_solid_returns_infinite_wait():
         assert m.pBlock == 1.0 and m.Wq == math.inf
 
 
-def test_geom_sum_matches_exact_fractions():
-    rng = random.Random(37)
+def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
+    """B and Wq from the balance recursion in exact rational arithmetic."""
+    lam, mu = Fraction(inst.lam), Fraction(inst.mu)
+    q = {pol[0]: Fraction(1)}
+    for i in range(1, inst.N + 1):
+        for j in range(pol[i - 1] + 1, pol[i] + 1):
+            q[j] = q[j - 1] * lam / (i * mu)
+    z = sum(q.values())
+    f = sum(i * q[j] for i in range(1, inst.N + 1) for j in range(pol[i - 1] + 1, pol[i] + 1)) / z
+    big_l = sum(j * v for j, v in q.items()) / z
+    admitted = lam * (z - q[inst.S]) / z
+    return float(inst.N - f), float(big_l / admitted - 1 / mu)
+
+
+def test_closed_form_is_exact_under_heavy_blocking():
+    # nearly every arrival is lost, so 1 - P(S) is tiny: the closed form sums
+    # the mass below S rather than subtracting P(S) from one
+    rng = random.Random(59)
+    for _ in range(200):
+        s = rng.randint(3, 40)
+        n = rng.randint(1, min(6, s))
+        mu = rng.uniform(0.2, 5.0)
+        inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(3.0, 12.0), mu=mu, Bl=0.0)
+        pol = random_policy(rng, inst)
+        b, wq = _exact_b_wq(inst, pol)
+        m = evaluate_closed_form(inst, pol)
+        assert rel_close(m.B, b, 1e-12), (inst, pol)
+        assert rel_close(m.Wq, wq, 1e-12), (inst, pol, m.Wq, wq)
+
+
+def _geom_cases(rng: random.Random):
+    """(r, n): random ratios below, above and within a hair of one, then both
+    sides of the first moment's near-one window and of one, at short runs
+    where the quotient forms cancel most."""
     for _ in range(120):
         n = rng.randint(1, 200)
-        r = rng.choice([rng.uniform(0.2, 3.0),
-                        1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-14, -1)])
+        yield rng.choice([rng.uniform(0.2, 3.0),
+                          1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-14, -1)]), n
+    for d in (1e-14, 1e-9, 1e-6, 0.999e-3, 1.001e-3, 3e-3, 0.3):
+        for r in (1.0 - d, 1.0 + d):
+            for n in (1, 2, 3, 4, 10, 200):
+                yield r, n
+
+
+def test_geom_sum_matches_exact_fractions():
+    for r, n in _geom_cases(random.Random(37)):
         fr = Fraction(r)
         acc = Fraction(1)
         exact_sum = Fraction(0)
@@ -194,8 +230,8 @@ def test_geom_sum_matches_exact_fractions():
             exact_sum += acc
             exact_fm += t * acc
             acc *= fr
-        assert rel_close(_geom_sum(r, n), float(exact_sum), 1e-12)
-        assert rel_close(_geom_first_moment(r, n), float(exact_fm), 1e-11)
+        assert rel_close(math.exp(_log_geom_sum(r, n)), float(exact_sum), 1e-12), (r, n)
+        assert rel_close(math.exp(_log_geom_first_moment(r, n)), float(exact_fm), 1e-11), (r, n)
 
 
 def test_evaluate_b_wq_matches_full_metrics():
@@ -258,10 +294,9 @@ def test_evaluate_b_wq_wide_agrees_with_oracles():
         for prev, pol in zip([None] + walk, walk):
             mode_moves += prev is not None and prev[mode] != pol[mode]
             b, wq = evaluate_b_wq(inst, pol)
-            tol = 1e-6 if _needs_log_space(inst, pol) else 1e-9
             for m in (evaluate_direct(inst, pol), evaluate_closed_form(inst, pol)):
-                assert rel_close(b, m.B, tol), (inst, pol)
-                assert rel_close(wq, m.Wq, tol), (inst, pol)
+                assert rel_close(b, m.B), (inst, pol)
+                assert rel_close(wq, m.Wq), (inst, pol)
         assert mode_moves > 0 or mode == inst.N
 
 
