@@ -34,6 +34,8 @@ _NEAR_ONE_TOL = 1e-3  # |r - 1| below this: the closed first moment sums term by
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
 _LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
+_MEMO_SIZE = 64  # recent answers evaluate_b_wq keeps per workspace
+_MEMO_MAX_LEN = 64  # longer policies skip the memo: measured, it cost them more than it saved
 
 Policy = tuple[int, ...]
 
@@ -218,12 +220,16 @@ class _Workspace:
     q(k_0) = 1.  It peaks where the per-state ratio crosses one and only
     shrinks afterwards, so it stays in float range while S * ln(lam/mu) is
     small (a tail that underflows to zero is harmless).  Each call rewrites
-    only the states whose segment changed (``_sync``), and a call that
-    repeats the previous policy returns the stored result, since those
-    ratios are a function of the policy alone.  A caller that moved exactly
-    one switching point by one step since its previous call here may pass
-    that point's index as ``moved``, which goes straight to the one-entry
-    patch and skips the search for the moved points (and the repeat check).
+    only the states whose segment changed (``_sync``); those ratios are a
+    function of the policy alone, and so is the result.  A caller that moved
+    exactly one switching point by one step since its previous call here may
+    pass that point's index as ``moved``, which goes straight to the
+    one-entry patch and skips the search for the moved points.
+
+    ``memo`` holds the ``(B, Wq)`` of up to _MEMO_SIZE recent policies,
+    oldest first, for ``evaluate_b_wq``; ``b_wq`` itself never reads it, so
+    the buffers always hold the policy of the previous ``b_wq`` call.  It is
+    None when policies are longer than _MEMO_MAX_LEN.
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -232,7 +238,7 @@ class _Workspace:
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "rs_arr", "ones_t", "step_buf", "q_buf",
-                 "step_mv", "q_mv", "views", "last", "res")
+                 "step_mv", "q_mv", "views", "last", "memo")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
@@ -245,7 +251,8 @@ class _Workspace:
         self.q_mv = memoryview(self.q_buf)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
         self.last: Policy | None = None
-        self.res: tuple[float, float] | None = None  # (B, Wq) of last
+        self.memo: dict[Policy, tuple[float, float]] | None = (
+            {} if self.n + 1 <= _MEMO_MAX_LEN else None)
 
     def _sync(self, pol: Policy, moved: int) -> None:
         """Bring step_buf from the previous call's policy to pol.
@@ -255,13 +262,14 @@ class _Workspace:
         below a state at or below min(old k_f, new k_f), and on which lie
         above a state past max(old k_l, new k_l).  So an unhinted call
         rewrites just the states in between, taking each ratio from pol's
-        segments; a +-1 move is a one-state range, and a fresh workspace
-        fills (k_0, S].  l is the last index when that point moved, f when
-        the tails after f agree, and otherwise found by a window of C-level
-        tuple compares that doubles from the end and then halves, so a long
-        unmoved tail costs no Python-level scan.  Short ranges are written
-        state by state through the memoryview; past _LONG_RUN states, one
-        np.repeat over the segment lengths is cheaper.
+        segments; a +-1 move is a one-state range, a repeat of the previous
+        policy rewrites nothing, and a fresh workspace fills (k_0, S].  l is
+        the last index when that point moved, f when the tails after f
+        agree, and otherwise found by a window of C-level tuple compares that
+        doubles from the end and then halves, so a long unmoved tail costs no
+        Python-level scan.  Short ranges are written state by state through
+        the memoryview; past _LONG_RUN states, one np.repeat over the segment
+        lengths is cheaper.
         """
         last = self.last
         self.last = pol
@@ -276,8 +284,11 @@ class _Workspace:
             i, t, j, end = 0, pol[0], self.n - 1, self.s
         else:
             f = 0
-            while pol[f] == last[f]:
-                f += 1
+            try:
+                while pol[f] == last[f]:
+                    f += 1
+            except IndexError:  # the scan passed k_N = S: nothing moved
+                return
             l = self.n - 1
             if pol[l] == last[l]:
                 if pol[f + 1:] == last[f + 1:]:
@@ -317,8 +328,6 @@ class _Workspace:
             mv[t] = rs[i]
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
-        if moved < 0 and pol == self.last:
-            return self.res
         self._sync(pol, moved)
         k0 = pol[0]
         parts = self.views.get(k0)
@@ -337,8 +346,7 @@ class _Workspace:
         f = self.lam / self.mu * (1.0 - p_s)
         admitted = self.lam * (1.0 - p_s)
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        self.res = res = (self.n - f, wq)
-        return res
+        return self.n - f, wq
 
 
 class _ModeWorkspace(_Workspace):
@@ -370,8 +378,6 @@ class _ModeWorkspace(_Workspace):
         self.rs_arr = np.array(self.rs)
 
     def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
-        if moved < 0 and pol == self.last:
-            return self.res
         self._sync(pol, moved)
         k0, p = pol[0], pol[self.mode]
         # per k_0, built for one p: the views stay valid while p holds still
@@ -394,8 +400,7 @@ class _ModeWorkspace(_Workspace):
         f = self.lam / self.mu * (1.0 - p_s)
         admitted = self.lam * (1.0 - p_s)
         wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        self.res = res = (self.n - f, wq)
-        return res
+        return self.n - f, wq
 
 
 @lru_cache(maxsize=32)
@@ -410,7 +415,9 @@ def _fast_eval(inst: Instance):
     """The calling thread's bound vectorized evaluator for inst.
 
     Lets tight loops skip the per-call cache lookup in evaluate_b_wq and pass
-    b_wq's ``moved`` hint.  Every instance has one: wide instances get the
+    b_wq's ``moved`` hint.  It bypasses evaluate_b_wq's memo, so the buffers
+    hold the caller's previous policy whenever the caller alone drives them,
+    as a hint requires.  Every instance has one: wide instances get the
     mode-anchored workspace.
     """
     return _workspace(inst, get_ident()).b_wq
@@ -506,5 +513,26 @@ def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     from there, at the mode of the distribution, so every instance stays on
     this route.  Skips validation and the distribution vector; callers pass
     trusted policies.
+
+    A policy among the workspace's _MEMO_SIZE most recently computed ones
+    gets its stored answer, which is the computed one bit for bit; the
+    solver revisits many corners.  ``solve`` empties the memo on entry
+    (``_forget_answers``), so each solve pays for its own evaluations.
     """
-    return _workspace(inst, get_ident()).b_wq(pol)
+    ws = _workspace(inst, get_ident())
+    memo = ws.memo
+    if memo is None:
+        return ws.b_wq(pol)
+    res = memo.get(pol)
+    if res is None:
+        res = memo[pol] = ws.b_wq(pol)
+        if len(memo) > _MEMO_SIZE:
+            del memo[next(iter(memo))]
+    return res
+
+
+def _forget_answers(inst: Instance) -> None:
+    """Empty the calling thread's memo of evaluate_b_wq answers for inst."""
+    memo = _workspace(inst, get_ident()).memo
+    if memo is not None:
+        memo.clear()

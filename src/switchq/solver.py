@@ -11,13 +11,15 @@ branches over the shaved box with the same corner bounds as pruning rules.
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .core import (EPS_B, Instance, Policy, evaluate_b_wq, max_backroom_policy,
-                   min_wait_policy, validate_instance)
+from .core import (EPS_B, Instance, Policy, _forget_answers, evaluate_b_wq,
+                   max_backroom_policy, min_wait_policy, validate_instance)
 from .heuristic import run_p1
 
 EPS_WQ = 1e-9
+_SHORT_RUN = 8  # packed corner runs longer than this are bisected, not walked
 
 STRATEGIES = ("none", "bl-shave", "wq-shave", "alt-shave", "alt-search-shave")
 
@@ -168,16 +170,26 @@ def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
     last value until it meets lo, then the rest of lo: the same policy as a
     left-to-right sweep taking the lowest value each domain allows, built by
     splicing.  Returns None on a failed store.
+
+    The run puts w + t - u at index t, from u = start + len(head), while
+    lo[t] - t < w - u.  lo is strictly increasing, so lo[t] - t never
+    decreases: a run that reaches _SHORT_RUN steps past u is bisected, and
+    a shorter one is walked.
     """
     if store.failed:
         return None
     lo = store.lo
     n = len(lo)
-    t = start + len(head)
+    t = u = start + len(head)
     v = w = head[-1] + 1 if head else 0
-    while t < n and lo[t] < v:
-        t += 1
-        v += 1
+    x = u + _SHORT_RUN
+    if x < n and lo[x] < w + _SHORT_RUN:
+        t = bisect_left(range(n), w - u, x + 1, n, key=lambda y: lo[y] - y)
+        v = w + t - u
+    else:
+        while t < n and lo[t] < v:
+            t += 1
+            v += 1
     return (*lo[:start], *head, *range(w, v), *lo[t:], inst.S)
 
 
@@ -186,16 +198,23 @@ def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
 
     Mirror image of gmin: hi up to a run packed downward to head's first
     value, then head, then the rest of hi.  On a search prefix (start 0) the
-    run is empty and the corner is head + hi[len(head):].
+    run is empty and the corner is head + hi[len(head):].  The run puts
+    w - u + t at index t, down from u = start - 1, while hi[t] - t > w - u,
+    and is bisected like gmin's.
     """
     if store.failed:
         return None
     hi = store.hi
-    t = start - 1
+    t = u = start - 1
     v = w = head[0] - 1 if head else inst.S - 1
-    while t >= 0 and hi[t] > v:
-        t -= 1
-        v -= 1
+    x = u - _SHORT_RUN
+    if x >= 0 and hi[x] > w - _SHORT_RUN:
+        t = bisect_right(range(x), w - u, key=lambda y: hi[y] - y) - 1
+        v = w - u + t
+    else:
+        while t >= 0 and hi[t] > v:
+            t -= 1
+            v -= 1
     return (*hi[:t + 1], *range(v + 1, w + 1), *head, *hi[start + len(head):], inst.S)
 
 
@@ -386,6 +405,7 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         raise ValueError(f"unknown strategy {cfg.strategy!r}; pick one of {STRATEGIES}")
     check_time_limit(cfg.time_limit)
     validate_instance(inst)
+    _forget_answers(inst)  # no answers carried over from an earlier solve
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
     stats = SearchStats()

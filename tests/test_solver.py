@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -10,7 +11,9 @@ from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, WQ_OPT, random_instance,
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, generate, max_backroom_policy,
                      min_wait_policy, run_p1, search, solve)
-from switchq.solver import (EPS_WQ, Incumbent, SearchStats, _eval, _Improved,
+import switchq.solver as solver_mod
+from switchq.core import _ModeWorkspace, _Workspace
+from switchq.solver import (_SHORT_RUN, EPS_WQ, Incumbent, SearchStats, _eval, _Improved,
                             alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
                             gmax, gmin, wq_gmin_probe, wq_shave)
 
@@ -183,11 +186,11 @@ def test_corners_honor_fixed_values():
     assert gmin(EXAMPLE, store, (0,), 0) == (0, 1, 2, 6)
 
 
-def _random_store(rng, inst):
-    """The initial box after a few random shrinks; now and then one empties
-    a domain and the store fails."""
+def _random_store(rng, inst, max_shrinks=None):
+    """The initial box after a few random shrinks, up to 2N by default; now
+    and then one empties a domain and the store fails."""
     store = DomainStore.initial(inst)
-    for _ in range(rng.randint(0, 2 * inst.N)):
+    for _ in range(rng.randint(0, 2 * inst.N if max_shrinks is None else max_shrinks)):
         i = rng.randrange(inst.N)
         lo, hi = store.lo[i], store.hi[i]
         if rng.random() < 0.5:
@@ -199,13 +202,16 @@ def _random_store(rng, inst):
     return store
 
 
-def test_spliced_corners_match_the_reference_sweeps():
-    rng = random.Random(59)
-    cases = nones = packed_up = packed_down = 0
-    while cases < 6000:
-        inst = random_instance(rng, 2, 24)
+def _compare_spliced_corners(rng, draw_instance, count, max_shrinks=None):
+    """Checks gmin and gmax against the reference sweeps on ``count`` random
+    (box, head) cases; returns how many cases had no completion, a run
+    packed up from head, one packed down to it, and such runs longer than
+    _SHORT_RUN, which the corners bisect."""
+    cases = nones = packed_up = packed_down = long_up = long_down = 0
+    while cases < count:
+        inst = draw_instance(rng)
         n = inst.N
-        store = _random_store(rng, inst)
+        store = _random_store(rng, inst, max_shrinks)
         for _ in range(5):
             if store.failed:
                 head, start = (), 0
@@ -231,10 +237,30 @@ def test_spliced_corners_match_the_reference_sweeps():
             if want_lo is not None and head:
                 # the runs packed next to head differ from plain lo and hi
                 end = start + len(head)
-                packed_up += want_lo[end:n] != tuple(store.lo[end:])
-                packed_down += want_hi[:start] != tuple(store.hi[:start])
+                up = sum(a != b for a, b in zip(want_lo[end:n], store.lo[end:]))
+                down = sum(a != b for a, b in zip(want_hi[:start], store.hi[:start]))
+                packed_up += up > 0
+                packed_down += down > 0
+                long_up += up > _SHORT_RUN
+                long_down += down > _SHORT_RUN
+    return nones, packed_up, packed_down, long_up, long_down
+
+
+def _large_instance(rng):
+    s = rng.randint(45, 160)
+    return Instance(S=s, N=rng.randint(40, s), lam=rng.uniform(0.2, 120.0),
+                    mu=rng.uniform(0.2, 60.0), Bl=0.0)
+
+
+def test_spliced_corners_match_the_reference_sweeps():
+    rng = random.Random(59)
+    nones, packed_up, packed_down, _, _ = _compare_spliced_corners(
+        rng, lambda r: random_instance(r, 2, 24), 6000)
     assert nones > 100
     assert packed_up > 500 and packed_down > 200
+    # boxes with N >= 40, where packed runs grow long enough to be bisected
+    _, _, _, long_up, long_down = _compare_spliced_corners(rng, _large_instance, 1500, 20)
+    assert long_up > 100 and long_down > 100, (long_up, long_down)
 
 
 def test_corners_on_failed_store():
@@ -401,7 +427,6 @@ def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
     # same evaluated policies in the same order, same counts, same incumbent
     # and the same restart point as the recursive descent
-    import switchq.solver as solver_mod
     rng = random.Random(83)
     seen = []
 
@@ -429,7 +454,6 @@ def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
 def test_search_reaches_depths_past_the_recursion_limit(monkeypatch):
     # N = 1200 switching points: a recursive descent overflows the
     # interpreter's stack near depth 1000; the explicit stack times out cleanly
-    import switchq.solver as solver_mod
     base = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)
     bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
           + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
@@ -541,6 +565,56 @@ def test_hybrid_seeds_the_heuristic_result():
     res = solve(EXAMPLE, SolverConfig(hybrid=True))
     assert res.status == "optimal" and res.incumbent == OPT_POLICY
     assert res.stats.evaluations >= run_p1(EXAMPLE).steps
+
+
+def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
+    # solve evaluates the all-late policy, where the walk starts, through
+    # evaluate_b_wq's memo; the walk's own hinted calls must still find the
+    # buffers at its previous policy, step after step
+    walks = []
+
+    def recording(inst, deadline=None):
+        walks.append(run_p1(inst, deadline))
+        return walks[-1]
+
+    monkeypatch.setattr(solver_mod, "run_p1", recording)
+    insts = desk_suite[:40]
+    for inst in insts:
+        solve(inst, SolverConfig(hybrid=True))
+    assert len(walks) == len(insts)
+    # the reference walks run in a thread of their own, on fresh workspaces
+    standalone = []
+    worker = threading.Thread(target=lambda: standalone.extend(map(run_p1, insts)))
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive() and len(standalone) == len(insts)
+    for inst, got, want in zip(insts, walks, standalone):
+        assert got.trace == want.trace, inst
+
+
+def test_repeat_solves_compute_alike(monkeypatch, desk_suite):
+    # the memo lives for one solve: a second identical solve in the same
+    # thread computes as many buffers as the first, not fewer
+    computed = [0]
+
+    def counting(method):
+        def wrapper(self, pol, moved=-1):
+            computed[0] += 1
+            return method(self, pol, moved)
+        return wrapper
+
+    for cls in (_Workspace, _ModeWorkspace):
+        monkeypatch.setattr(cls, "b_wq", counting(cls.__dict__["b_wq"]))
+    for inst in desk_suite[:5]:
+        for cfg in [SolverConfig(strategy=s) for s in STRATEGIES] + [SolverConfig(hybrid=True)]:
+            runs = []
+            for _ in range(2):
+                computed[0] = 0
+                res = solve(inst, cfg)
+                runs.append((computed[0], res.stats.evaluations))
+            assert runs[0] == runs[1], (inst, cfg)
+            # and the memo answers some of the solver's repeats
+            assert runs[0][0] < runs[0][1], (inst, cfg)
 
 
 # (nodes, shave_iterations, evaluations) per strategy, plain and hybrid
