@@ -34,8 +34,6 @@ _NEAR_ONE_TOL = 1e-3  # |r - 1| below this: the closed first moment sums term by
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
 _LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
-_MEMO_SIZE = 64  # recent answers evaluate_b_wq keeps per workspace
-_MEMO_MAX_LEN = 64  # longer policies skip the memo: measured, it cost them more than it saved
 
 Policy = tuple[int, ...]
 
@@ -122,9 +120,9 @@ def max_backroom_policy(inst: Instance) -> Policy:
     return tuple(range(inst.S - inst.N, inst.S)) + (inst.S,)
 
 
-def is_feasible(m: Metrics, inst: Instance, eps: float = EPS_B) -> bool:
+def is_feasible(m: Metrics, inst: Instance) -> bool:
     """Back-room requirement test with a small slack for float rounding."""
-    return m.B >= inst.Bl - eps
+    return m.B >= inst.Bl - EPS_B
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +224,6 @@ class _Workspace:
     pass that point's index as ``moved``, which goes straight to the
     one-entry patch and skips the search for the moved points.
 
-    ``memo`` holds the ``(B, Wq)`` of up to _MEMO_SIZE recent policies,
-    oldest first, for ``evaluate_b_wq``; ``b_wq`` itself never reads it, so
-    the buffers always hold the policy of the previous ``b_wq`` call.  It is
-    None when policies are longer than _MEMO_MAX_LEN.
-
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
     (the same C routine as ``np.dot``, without the dispatch), and single
@@ -238,7 +231,7 @@ class _Workspace:
     """
 
     __slots__ = ("s", "n", "lam", "mu", "rs", "rs_arr", "ones_t", "step_buf", "q_buf",
-                 "step_mv", "q_mv", "views", "last", "memo")
+                 "step_mv", "q_mv", "views", "last")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
@@ -251,8 +244,6 @@ class _Workspace:
         self.q_mv = memoryview(self.q_buf)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
         self.last: Policy | None = None
-        self.memo: dict[Policy, tuple[float, float]] | None = (
-            {} if self.n + 1 <= _MEMO_MAX_LEN else None)
 
     def _sync(self, pol: Policy, moved: int) -> None:
         """Bring step_buf from the previous call's policy to pol.
@@ -415,10 +406,9 @@ def _fast_eval(inst: Instance):
     """The calling thread's bound vectorized evaluator for inst.
 
     Lets tight loops skip the per-call cache lookup in evaluate_b_wq and pass
-    b_wq's ``moved`` hint.  It bypasses evaluate_b_wq's memo, so the buffers
-    hold the caller's previous policy whenever the caller alone drives them,
-    as a hint requires.  Every instance has one: wide instances get the
-    mode-anchored workspace.
+    b_wq's ``moved`` hint, which holds when the caller alone drives the
+    buffers.  Every instance has one: wide instances get the mode-anchored
+    workspace.
     """
     return _workspace(inst, get_ident()).b_wq
 
@@ -513,26 +503,5 @@ def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     from there, at the mode of the distribution, so every instance stays on
     this route.  Skips validation and the distribution vector; callers pass
     trusted policies.
-
-    A policy among the workspace's _MEMO_SIZE most recently computed ones
-    gets its stored answer, which is the computed one bit for bit; the
-    solver revisits many corners.  ``solve`` empties the memo on entry
-    (``_forget_answers``), so each solve pays for its own evaluations.
     """
-    ws = _workspace(inst, get_ident())
-    memo = ws.memo
-    if memo is None:
-        return ws.b_wq(pol)
-    res = memo.get(pol)
-    if res is None:
-        res = memo[pol] = ws.b_wq(pol)
-        if len(memo) > _MEMO_SIZE:
-            del memo[next(iter(memo))]
-    return res
-
-
-def _forget_answers(inst: Instance) -> None:
-    """Empty the calling thread's memo of evaluate_b_wq answers for inst."""
-    memo = _workspace(inst, get_ident()).memo
-    if memo is not None:
-        memo.clear()
+    return _workspace(inst, get_ident()).b_wq(pol)

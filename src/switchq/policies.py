@@ -96,23 +96,20 @@ def _screen(inst: Instance, fronts: np.ndarray, down: np.ndarray,
         return inst.N - served.sum(axis=0) / tot, wq - wq_err, wq + wq_err
 
 
-def brute_force_optimum(inst: Instance, force: bool = False,
-                        eps_b: float = EPS_B) -> tuple[Policy, float] | None:
+def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, float] | None:
     """Enumerate everything and return (policy, wq) for the best feasible one.
 
     The result is the direct recursion's: the first policy in lexicographic
     order with the smallest Wq among those whose B meets Bl - eps_b, exactly
     as a loop of ``_direct_b_wq`` over ``iter_policies`` that keeps only
     strict improvements would return it.  Returns None when no policy meets
-    the back-room target.  Spaces larger than ENUMERATION_LIMIT are refused
-    unless force is set.
+    the back-room target.  Spaces larger than ENUMERATION_LIMIT are refused.
     """
     validate_instance(inst)
     count = policy_count(inst)
-    if count > ENUMERATION_LIMIT and not force:
-        raise ValueError(
-            f"policy space has {count} members, above the enumeration limit "
-            f"{ENUMERATION_LIMIT}; pass force=True to enumerate anyway")
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(f"policy space has {count} members, above the enumeration limit "
+                         f"{ENUMERATION_LIMIT}")
     s, n = inst.S, inst.N
     target = inst.Bl - eps_b
     down = np.full(n + 1, -np.inf)

@@ -14,12 +14,14 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .core import (EPS_B, Instance, Policy, _forget_answers, evaluate_b_wq,
-                   max_backroom_policy, min_wait_policy, validate_instance)
+from .core import (EPS_B, Instance, Policy, evaluate_b_wq, max_backroom_policy,
+                   min_wait_policy, validate_instance)
 from .heuristic import run_p1
 
 EPS_WQ = 1e-9
 _SHORT_RUN = 8  # packed corner runs longer than this are bisected, not walked
+_MEMO_SIZE = 64  # recent answers a solve keeps
+_MEMO_MAX_LEN = 64  # longer policies skip the memo: measured, it cost them more than it saved
 
 STRATEGIES = ("none", "bl-shave", "wq-shave", "alt-shave", "alt-search-shave")
 
@@ -108,6 +110,10 @@ class SearchStats:
     nodes: int = 0
     shave_iterations: int = 0
     evaluations: int = 0
+    # the (B, Wq) of up to _MEMO_SIZE recent policies, oldest first; only
+    # solve sets it, and only for as long as it runs
+    memo: dict[Policy, tuple[float, float]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -157,8 +163,18 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _eval(inst: Instance, pol: Policy, stats: SearchStats) -> tuple[float, float]:
+    """evaluate_b_wq, counted; a policy in the solve's memo gets its stored
+    answer, which is the computed one bit for bit."""
     stats.evaluations += 1
-    return evaluate_b_wq(inst, pol)
+    memo = stats.memo
+    if memo is None:
+        return evaluate_b_wq(inst, pol)
+    res = memo.get(pol)
+    if res is None:
+        res = memo[pol] = evaluate_b_wq(inst, pol)
+        if len(memo) > _MEMO_SIZE:
+            del memo[next(iter(memo))]
+    return res
 
 
 def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy | None:
@@ -405,18 +421,22 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
         raise ValueError(f"unknown strategy {cfg.strategy!r}; pick one of {STRATEGIES}")
     check_time_limit(cfg.time_limit)
     validate_instance(inst)
-    _forget_answers(inst)  # no answers carried over from an earlier solve
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
     stats = SearchStats()
+    # probes and search revisit many corners; every return drops the memo,
+    # because results outlive the solve
+    stats.memo = {} if inst.N + 1 <= _MEMO_MAX_LEN else None
     inc = Incumbent(start=start)
 
     def result(status: str) -> SolveResult:
+        stats.memo = None
         return SolveResult(status, inc.policy, inc.wq, status == "optimal", inc.trace, stats)
 
     late = max_backroom_policy(inst)
     b, wq = _eval(inst, late, stats)
     if b < inst.Bl - EPS_B:
+        stats.memo = None
         return SolveResult("infeasible", None, None, False, inc.trace, stats)
     inc.consider(late, wq)
     early = min_wait_policy(inst)

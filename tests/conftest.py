@@ -12,6 +12,7 @@ import random
 import pytest
 
 from switchq import GenSpec, Instance, generate
+from switchq.core import _ModeWorkspace, _Workspace
 from switchq.policies import brute_force_optimum
 from switchq.solver import SolverConfig, solve
 
@@ -125,3 +126,20 @@ def desk_pure(desk_suite):
 @pytest.fixture(scope="session")
 def tall_suite() -> list[Instance]:
     return generate(TALL_SPEC)
+
+
+@pytest.fixture
+def b_wq_calls(monkeypatch) -> list[int]:
+    """One-entry counter of the workspace ``b_wq`` calls, the evaluations
+    actually computed, that the test makes; it may reset the entry."""
+    calls = [0]
+
+    def counting(method):
+        def wrapper(self, pol, moved=-1):
+            calls[0] += 1
+            return method(self, pol, moved)
+        return wrapper
+
+    for cls in (_Workspace, _ModeWorkspace):
+        monkeypatch.setattr(cls, "b_wq", counting(cls.__dict__["b_wq"]))
+    return calls

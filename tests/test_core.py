@@ -16,8 +16,9 @@ from conftest import (EXAMPLE, GOLDEN_B_WQ, _needs_log_space, log_space_pair,
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, validate_instance, validate_policy)
-from switchq.core import (_MEMO_MAX_LEN, _MEMO_SIZE, _forget_answers, _log_geom_first_moment,
-                          _log_geom_sum, _ModeWorkspace, _Workspace, _workspace)
+from switchq.core import (_log_geom_first_moment, _log_geom_sum, _ModeWorkspace, _Workspace,
+                          _workspace)
+from switchq.solver import _MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _eval, solve
 
 
 def test_validate_instance_accepts_example():
@@ -371,33 +372,50 @@ def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),
 ])
 def test_memo_answers_are_the_computed_ones(inst, cls):
-    # evaluate_b_wq over a call stream that mixes the workspace's own kinds
-    # of moves with returns to policies some calls back, within the memo's
-    # reach and beyond it: each answer == a fresh workspace's, and the memo
+    # the solver's memo, set up as solve sets it, over a call stream that
+    # mixes the workspace's own kinds of moves with returns to policies some
+    # calls back, within the memo's reach and beyond it: each answer == a
+    # fresh workspace's, hits are counted like computed calls, and the memo
     # never holds more than _MEMO_SIZE answers
     rng = random.Random(67)
-    _forget_answers(inst)
-    memo = _workspace(inst, threading.get_ident()).memo
+    stats = SearchStats()
+    stats.memo = memo = {}
     seen, hits, stream = [], 0, _mixed_calls(rng, inst, 3000)
     for pol, _, _ in stream:
         if seen and rng.random() < 0.3:
             pol = seen[-rng.randint(1, min(len(seen), 3 * _MEMO_SIZE))]
         seen.append(pol)
         hits += pol in memo
-        assert evaluate_b_wq(inst, pol) == cls(inst).b_wq(pol), pol
+        assert _eval(inst, pol, stats) == cls(inst).b_wq(pol), pol
         assert len(memo) <= _MEMO_SIZE
     assert len(memo) == _MEMO_SIZE
+    assert stats.evaluations == len(stream)
     assert 500 < hits < len(stream) - 500, hits
 
 
-def test_long_policies_skip_the_memo():
-    inst = Instance(S=90, N=_MEMO_MAX_LEN, lam=50.0, mu=1.0, Bl=0.0)
-    ws = _workspace(inst, threading.get_ident())
-    assert ws.memo is None
-    for pol in _walk(random.Random(71), inst, 40) * 2:
-        assert evaluate_b_wq(inst, pol) == _Workspace(inst).b_wq(pol)
-    assert _workspace(Instance(S=90, N=_MEMO_MAX_LEN - 1, lam=50.0, mu=1.0, Bl=0.0),
-                      threading.get_ident()).memo == {}
+def test_long_policies_skip_the_memo(b_wq_calls):
+    # a solve on policies of _MEMO_MAX_LEN + 1 entries computes every
+    # evaluation; one entry shorter, the memo answers some of them
+    for n, memo in ((_MEMO_MAX_LEN, False), (_MEMO_MAX_LEN - 1, True)):
+        base = Instance(S=67, N=n, lam=50.0, mu=1.0, Bl=0.0)
+        bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
+              + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
+        inst = Instance(S=67, N=n, lam=50.0, mu=1.0, Bl=bl)
+        b_wq_calls[0] = 0
+        res = solve(inst, SolverConfig(time_limit=None))
+        assert res.status == "optimal" and res.stats.evaluations > 1000
+        assert (b_wq_calls[0] < res.stats.evaluations) == memo, (n, b_wq_calls[0])
+        assert res.wq == _Workspace(inst).b_wq(res.incumbent)[1]
+
+
+def test_evaluate_b_wq_keeps_no_answers(b_wq_calls):
+    # only a solve keeps answers: every repeat outside one is computed again
+    for inst in (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0),
+                 Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0)):
+        pol = min_wait_policy(inst)
+        b_wq_calls[0] = 0
+        got = [evaluate_b_wq(inst, pol) for _ in range(3)]
+        assert b_wq_calls[0] == 3 and got == [got[0]] * 3, inst
 
 
 def _evaluate_in_threads(inst, walks, expect, rounds, deadline):

@@ -12,7 +12,6 @@ from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, generate, max_backroom_policy,
                      min_wait_policy, run_p1, search, solve)
 import switchq.solver as solver_mod
-from switchq.core import _ModeWorkspace, _Workspace
 from switchq.solver import (_SHORT_RUN, EPS_WQ, Incumbent, SearchStats, _eval, _Improved,
                             alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
                             gmax, gmin, wq_gmin_probe, wq_shave)
@@ -568,9 +567,9 @@ def test_hybrid_seeds_the_heuristic_result():
 
 
 def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
-    # solve evaluates the all-late policy, where the walk starts, through
-    # evaluate_b_wq's memo; the walk's own hinted calls must still find the
-    # buffers at its previous policy, step after step
+    # solve evaluates the all-late policy, where the walk starts, through its
+    # memo, and the walk goes straight to the buffers; its hinted calls must
+    # still find them at its previous policy, step after step
     walks = []
 
     def recording(inst, deadline=None):
@@ -592,29 +591,35 @@ def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
         assert got.trace == want.trace, inst
 
 
-def test_repeat_solves_compute_alike(monkeypatch, desk_suite):
+def test_repeat_solves_compute_alike(b_wq_calls, desk_suite):
     # the memo lives for one solve: a second identical solve in the same
-    # thread computes as many buffers as the first, not fewer
-    computed = [0]
-
-    def counting(method):
-        def wrapper(self, pol, moved=-1):
-            computed[0] += 1
-            return method(self, pol, moved)
-        return wrapper
-
-    for cls in (_Workspace, _ModeWorkspace):
-        monkeypatch.setattr(cls, "b_wq", counting(cls.__dict__["b_wq"]))
+    # thread computes as many evaluations as the first, not fewer
     for inst in desk_suite[:5]:
         for cfg in [SolverConfig(strategy=s) for s in STRATEGIES] + [SolverConfig(hybrid=True)]:
             runs = []
             for _ in range(2):
-                computed[0] = 0
+                b_wq_calls[0] = 0
                 res = solve(inst, cfg)
-                runs.append((computed[0], res.stats.evaluations))
+                runs.append((b_wq_calls[0], res.stats.evaluations))
             assert runs[0] == runs[1], (inst, cfg)
             # and the memo answers some of the solver's repeats
             assert runs[0][0] < runs[0][1], (inst, cfg)
+
+
+def test_solve_results_hold_no_memo(desk_suite):
+    # results outlive their solve, and a memo kept on one would hold up to
+    # _MEMO_SIZE answers per result; every way out of solve drops it
+    cases = [(HARD, SolverConfig()), (EASY, SolverConfig()),
+             (desk_suite[0], SolverConfig(time_limit=0.0)),
+             (desk_suite[0], SolverConfig(hybrid=True, time_limit=0.0))]
+    cases += [(inst, SolverConfig(strategy=s, hybrid=h))
+              for inst in desk_suite[:3] for s in STRATEGIES for h in (False, True)]
+    statuses = set()
+    for inst, cfg in cases:
+        res = solve(inst, cfg)
+        statuses.add(res.status)
+        assert res.stats.memo is None, (inst, cfg, res.status)
+    assert statuses == {"infeasible", "optimal", "timeout-with-incumbent"}
 
 
 # (nodes, shave_iterations, evaluations) per strategy, plain and hybrid
