@@ -38,7 +38,7 @@ class HeuristicStep:
     action: str
 
 
-@dataclass
+@dataclass(slots=True)
 class HeuristicResult:
     status: str              # "solved", "infeasible", or "timeout": the deadline
                              # passed mid-walk and policy is the best feasible seen

@@ -7,6 +7,13 @@ upward gives the largest back-room coverage.  Probing one variable at an end
 of its domain and completing the rest therefore either proves that end value
 useless (a shave) or produces a feasible policy worth recording.  Search
 branches over the shaved box with the same corner bounds as pruning rules.
+
+The two use different evaluators.  A probe fixes one index in a box that
+changes after every shave, so it splices its corner into a policy tuple and
+evaluates it with ``evaluate_b_wq`` through the solve's memo.  Search keeps
+the box fixed and extends one prefix at a time, so it carries each prefix's
+mass and first moment in closed form and completes it from tables of
+geometric sums: every corner and leaf then costs O(1), whatever S and N are.
 """
 
 import math
@@ -105,7 +112,7 @@ class DomainStore:
             self.failed = True
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
     shave_iterations: int = 0
@@ -140,7 +147,7 @@ class SolverConfig:
     time_limit: float | None = 600.0  # seconds; None or inf for no limit
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     status: str  # optimal | infeasible | timeout-with-incumbent
     incumbent: Policy | None
@@ -355,7 +362,146 @@ def alternating_shave(inst: Instance, store: DomainStore, inc: Incumbent,
 
 
 # ---------------------------------------------------------------------------
-# depth-first search
+# depth-first search on carried closed-form corners
+
+
+_ROOT = (0.0, 1.0, 0.0, 0.0)  # the carried empty prefix, before k_0
+_EMPTY = (1.0, 0.0, 0.0, 1.0)  # the completion past k_N = S: nothing more
+
+
+def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
+    """Extends segment d's row of scaled geometric sums to ``size`` entries.
+
+    Entry L describes the states (a, a + L] that segment d adds after a
+    switching point at a, where r = lam / (d mu): P is q(a + L) / q(a), G1
+    the mass and G2 the first moment about a of those states over q(a), all
+    times e^-D with D = max(0, L ln r); S = e^-D scales what came before,
+    and D is the entry's last field.  So a rising segment has P = 1 and
+    sums of r^-j, a falling one has D = 0 and sums of r^j, and no entry
+    leaves float range however wide the instance.  The sums run on from
+    the row's last entry over powers taken from exp, so a row extended in
+    steps holds the entries one built at once would.  Row 0 places k_0
+    itself: a virtual point at -1, then one state of weight one at -1 + L.
+    """
+    start = len(row)
+    if d == 0:
+        row.extend((1.0, 0.0, 1.0, float(L), 0.0) for L in range(start, size))
+        return
+    r = inst.lam / (d * inst.mu)
+    lr = math.log(r)
+    neg = -abs(lr)
+    exp = math.exp
+    g1, g2 = (row[-1][2], row[-1][3]) if row else (0.0, 0.0)
+    if lr >= 0.0:
+        # G1 = sum of r^(m - L) over m = 1..L, that is of r^-j over j < L,
+        # and G2 sums G1 itself
+        if row:
+            g1 += row[-1][1]
+        for L in range(start, size):
+            y = exp(neg * L)
+            g2 += g1
+            row.append((1.0, y, g1, g2, lr * L))
+            g1 += y
+    else:
+        for L in range(start, size):
+            y = exp(neg * L)
+            if L:
+                g1 += y
+                g2 += L * y
+            row.append((y, 1.0, g1, g2, 0.0))
+
+
+class _Corners:
+    """The closed-form corners of one normalized box, for search.
+
+    A search prefix k_0..k_{d-1} is carried as (c, Q, M, W): q at its last
+    point, its mass and its first moment, relative to q(k_0) = 1 and divided
+    by e^c, the largest q so far, so that Q <= 1 <= M once it holds a point;
+    c is the prefix's log offset.  ``child`` extends a prefix by one
+    segment.  A corner is a prefix completed along the box: the completion
+    from k_{d-1} = a is (al, be, ga, si), so that the corner's mass, moment
+    and q(S) are M*al + Q*be, W*al + Q*ga and Q*si, up to a common factor,
+    and ``b_wq`` gives B and Wq from them.  ``upper`` completes along hi
+    (gmax); ``lower`` packs upward from a and then follows lo (gmin); from
+    k_{N-1}, both complete a leaf with segment N up to S.  A completion is
+    built on first use from the next point's (``complete``), so each costs
+    O(1) once per search, and so does every corner after it.
+
+    Segment rows start as long as the first segment asked for and at least
+    double whenever a longer one is, so a search pays for the segments it
+    uses, not for the whole box.
+    """
+
+    __slots__ = ("n", "s", "lm", "lam", "inv_mu", "inst", "off", "lo_x", "hi_x", "seg",
+                 "upper", "lower")
+
+    def __init__(self, inst: Instance, store: DomainStore):
+        n, s = inst.N, inst.S
+        self.n, self.s, self.inst = n, s, inst
+        self.lm, self.lam, self.inv_mu = inst.lam / inst.mu, inst.lam, 1.0 / inst.mu
+        self.lo_x = store.lo + [s]  # bounds of k_d, with k_N = S
+        self.hi_x = store.hi + [s]
+        self.seg = [[] for _ in range(n + 1)]
+        # the completions from k_{d-1} = a sit at a + off[d], for a within
+        # k_{d-1}'s bounds; -1 stands before k_0
+        self.off = off = []
+        size = 0
+        for lo, hi in zip([-1] + store.lo, [-1] + store.hi):
+            off.append(size - lo)
+            size += hi - lo + 1
+        self.upper = [None] * size
+        self.lower = [None] * size
+
+    def segment(self, d: int, length: int) -> tuple:
+        """Entry ``length`` of segment d's row, extending the row to hold it."""
+        row = self.seg[d]
+        if length >= len(row):
+            _extend_segment(self.inst, d, row, min(max(length + 1, 2 * len(row)), self.s + 2))
+        return row[length]
+
+    def child(self, parent: tuple, d: int, a: int, v: int) -> tuple:
+        """The carried prefix of parent, which ends with k_{d-1} = a, and k_d = v."""
+        try:
+            p, sc, g1, g2, lift = self.seg[d][v - a]
+        except IndexError:
+            p, sc, g1, g2, lift = self.segment(d, v - a)
+        c, q, m, w = parent
+        return c + lift, q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
+
+    def b_wq(self, prefix: tuple, completion: tuple) -> tuple[float, float]:
+        """B and Wq of the corner that completion makes of prefix, by the
+        workspace's flow-balance formulas."""
+        _, q, m, w = prefix
+        al, be, ga, si = completion
+        tot = m * al + q * be
+        share = 1.0 - q * si / tot  # admitted, 1 - P(S)
+        wq = (w * al + q * ga) / tot / (self.lam * share) - self.inv_mu if share > 0.0 else math.inf
+        return self.n - self.lm * share, wq
+
+    def complete(self, rows: list, d: int, a: int) -> tuple:
+        """The completion from k_{d-1} = a that rows (upper or lower) hold,
+        filling it and any missing completions it rests on."""
+        upward = rows is self.upper
+        off, lo_x, hi_x, seg, n = self.off, self.lo_x, self.hi_x, self.seg, self.n
+        chain = []
+        while d <= n:
+            i = a + off[d]
+            got = rows[i]
+            if got is not None:
+                break
+            x = hi_x[d] if upward else max(a + 1, lo_x[d])
+            chain.append((i, d, x - a, a))
+            d, a = d + 1, x
+        else:
+            got = _EMPTY
+        for i, d, length, a in reversed(chain):
+            try:
+                p, sc, g1, g2, _ = seg[d][length]
+            except IndexError:
+                p, sc, g1, g2, _ = self.segment(d, length)
+            al, be, ga, si = got
+            got = rows[i] = (sc * al, g1 * al + p * be, (a * g1 + g2) * al + p * ga, p * si)
+        return got
 
 
 def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
@@ -363,39 +509,49 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     """Depth-first assignment of k_0..k_{N-1}, smallest values first.
 
     A subtree is pruned when its upward corner misses the requirement or its
-    downward corner cannot improve the incumbent.  Counts every visited node
-    in stats.  Raises SolveTimeout at the deadline, and _Improved instead of
-    continuing when restart_on_improve is set and the incumbent improves.
+    downward corner cannot improve the incumbent.  Corners and leaves are
+    evaluated in closed form on carried prefixes (see ``_Corners``), each in
+    O(1) and counted as one evaluation; no policy tuple is built except for
+    a feasible leaf.  Counts every visited node in stats.  Raises
+    SolveTimeout at the deadline, and _Improved instead of continuing when
+    restart_on_improve is set and the incumbent improves.
     """
     if store.failed:
         return
     n, s = inst.N, inst.S
     lo, hi = store.lo, store.hi
     target = inst.Bl - EPS_B
+    corners = _Corners(inst, store)
+    upper, lower, off = corners.upper, corners.lower, corners.off
+    complete, child, b_wq = corners.complete, corners.child, corners.b_wq
 
-    # an explicit stack, one (prefix, remaining child values) pair per open
-    # node, so that depth (up to N) never meets the interpreter's recursion
-    # limit; nodes are visited in the order of a recursive descent
+    # an explicit stack, one (depth, k_{d-1}, carried prefix, remaining child
+    # values) entry per open node, so that depth (up to N) never meets the
+    # interpreter's recursion limit; nodes are visited in the order of a
+    # recursive descent.  ks holds the values on the current path.
     stack: list = []
-    prefix: Policy = ()
+    ks = [0] * n
+    d, a, prefix = 0, -1, _ROOT
     while True:
         _check_deadline(deadline)
         stats.nodes += 1
-        depth = len(prefix)
-        if depth == n:
-            pol = prefix + (s,)
-            b, wq = _eval(inst, pol, stats)
-            if b >= target and inc.consider(pol, wq) and restart_on_improve:
+        i = a + off[d]
+        stats.evaluations += 1
+        b, wq = b_wq(prefix, upper[i] or complete(upper, d, a))
+        if d == n:
+            if b >= target and inc.consider((*ks, s), wq) and restart_on_improve:
                 raise _Improved
-        elif (_eval(inst, gmax(inst, store, prefix), stats)[0] >= target
-              and _eval(inst, gmin(inst, store, prefix), stats)[1] < inc.wq - EPS_WQ):
-            floor = prefix[-1] + 1 if depth else 0
-            stack.append((prefix, iter(range(max(lo[depth], floor), hi[depth] + 1))))
+        elif b >= target:
+            stats.evaluations += 1
+            if b_wq(prefix, lower[i] or complete(lower, d, a))[1] < inc.wq - EPS_WQ:
+                stack.append((d, a, prefix, iter(range(max(lo[d], a + 1), hi[d] + 1))))
         while stack:
-            base, values = stack[-1]
+            pd, pa, parent, values = stack[-1]
             v = next(values, None)
             if v is not None:
-                prefix = base + (v,)
+                prefix = child(parent, pd, pa, v)
+                ks[pd] = v
+                d, a = pd + 1, v
                 break
             stack.pop()
         else:

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from switchq import GenSpec, Instance, generate
+from switchq import (GenSpec, Instance, evaluate_b_wq, generate, max_backroom_policy,
+                     min_wait_policy)
 from switchq.core import _ModeWorkspace, _Workspace
 from switchq.policies import brute_force_optimum
 from switchq.solver import SolverConfig, solve
@@ -77,6 +78,41 @@ def log_space_pair(rng: random.Random) -> tuple[Instance, tuple[int, ...]]:
     lam = mu * math.exp(rng.uniform(4.0, 12.0) * rng.choice((1.0, -1.0)))
     inst = Instance(S=s, N=n, lam=lam, mu=mu, Bl=rng.uniform(0.0, n))
     return inst, random_policy(rng, inst)
+
+
+REGIMES = ("wide", "near-one", "heavy", "light", "tall")
+
+
+def regime_instance(rng: random.Random, regime: str) -> Instance:
+    """An instance of one evaluator regime, with Bl between the extreme
+    policies' B, so that search has work to do.  Policy spaces stay at or
+    below C(128, 2) = 8,128 members, small enough for brute force:
+
+    - wide: S * ln(lam/mu) of 720-900, past the mode-anchored workspace's
+      threshold of 600 and past float range for a plain product;
+    - near-one: lam / (i mu) within 1e-3 of one for some i <= N;
+    - heavy: lam of 8-40 times N mu, so most arrivals are blocked;
+    - light: lam of 0.5-10% of mu;
+    - tall: S of 100-128 with N = 2.
+    """
+    mu = rng.uniform(0.5, 2.0)
+    if regime in ("wide", "tall"):
+        s, n = rng.randint(100, 128), 2
+        lam = mu * (math.exp(rng.uniform(720.0, 900.0) / s) if regime == "wide"
+                    else rng.uniform(0.5, 3.0))
+    else:
+        n = rng.randint(2, 4)
+        s = rng.randint(n + 6, 24)
+        if regime == "near-one":
+            lam = rng.randint(1, n) * mu * (1.0 + rng.choice(_NEAR_ONE_DELTAS))
+        elif regime == "heavy":
+            lam = n * mu * rng.uniform(8.0, 40.0)
+        else:
+            lam = mu * rng.uniform(0.005, 0.1)
+    base = Instance(S=s, N=n, lam=lam, mu=mu, Bl=0.0)
+    lo = evaluate_b_wq(base, min_wait_policy(base))[0]
+    hi = evaluate_b_wq(base, max_backroom_policy(base))[0]
+    return Instance(S=s, N=n, lam=lam, mu=mu, Bl=lo + rng.uniform(0.1, 0.9) * (hi - lo))
 
 
 def _needs_log_space(inst: Instance, pol: tuple[int, ...]) -> bool:

@@ -11,6 +11,7 @@ from switchq.cli import (BENCH_METHODS, SuiteRecord, TracePoint,
                          best_known_table, incumbent_at, main, mre, mre_curve,
                          read_records, read_trace_points, run_suite, trace_path,
                          write_records, write_trace_points)
+from switchq.solver import _Corners
 
 
 @pytest.fixture()
@@ -84,18 +85,28 @@ def test_solve_infeasible_exit_code(example_file):
                  "--strategy", "none"]) == 2
 
 
-def test_solve_deep_search_times_out_cleanly(tmp_path, capsys):
-    # N = 1200: search runs deeper than the interpreter's recursion limit
+def test_solve_deep_search_times_out_cleanly(monkeypatch, tmp_path, capsys):
+    # N = 1200: search carries prefixes deeper than the interpreter's
+    # recursion limit
     base = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)
     bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
           + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
     path = tmp_path / "deep.txt"
     write_instances(path, [Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=bl)])
+    depth = [0]
+    child = _Corners.child
+
+    def deepest(self, parent, d, a, v):
+        depth[0] = max(depth[0], d + 1)
+        return child(self, parent, d, a, v)
+
+    monkeypatch.setattr(_Corners, "child", deepest)
     rc = main(["solve", "--instance-file", str(path), "--index", "0",
                "--strategy", "none", "--time-limit", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "status timeout-with-incumbent" in out and "proof no" in out
+    assert depth[0] > 1000
 
 
 def test_brute_command(example_file, capsys):

@@ -6,14 +6,15 @@ import threading
 
 import pytest
 
-from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, WQ_OPT, random_instance,
-                      random_policy)
+from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, REGIMES, WQ_OPT, random_instance,
+                      random_policy, regime_instance, rel_close)
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
-                     brute_force_optimum, evaluate_b_wq, generate, max_backroom_policy,
-                     min_wait_policy, run_p1, search, solve)
+                     brute_force_optimum, evaluate_b_wq, evaluate_direct, generate,
+                     max_backroom_policy, min_wait_policy, run_p1, search, solve)
+from switchq.core import _ModeWorkspace, _workspace
 import switchq.solver as solver_mod
-from switchq.solver import (_SHORT_RUN, EPS_WQ, Incumbent, SearchStats, _eval, _Improved,
-                            alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
+from switchq.solver import (_ROOT, _SHORT_RUN, EPS_WQ, Incumbent, SearchStats, _Corners, _eval,
+                            _Improved, alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
                             gmax, gmin, wq_gmin_probe, wq_shave)
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
@@ -262,6 +263,75 @@ def test_spliced_corners_match_the_reference_sweeps():
     assert long_up > 100 and long_down > 100, (long_up, long_down)
 
 
+def test_segment_rows_extended_in_steps_match_one_built_at_once():
+    rng = random.Random(71)
+    for _ in range(200):
+        inst = random_instance(rng, 2, 60)
+        if rng.random() < 0.3:
+            d = rng.randint(1, inst.N)
+            inst = Instance(inst.S, inst.N, d * inst.mu * (1.0 + rng.choice((0.0, 1e-9, -3e-7))),
+                            inst.mu, 0.0)
+        d = rng.randint(0, inst.N)
+        size = rng.randint(1, inst.S + 2)
+        whole, steps = [], []
+        solver_mod._extend_segment(inst, d, whole, size)
+        while len(steps) < size:
+            solver_mod._extend_segment(inst, d, steps, min(size, len(steps) + rng.randint(1, 5)))
+        assert steps == whole and len(whole) == size, (inst, d)
+
+
+def _carried(corners, head):
+    """The prefix search carries for head, and its last value."""
+    prefix, a = _ROOT, -1
+    for d, v in enumerate(head):
+        prefix, a = corners.child(prefix, d, a, v), v
+    return prefix, a
+
+
+def test_carried_corners_match_spliced_evaluations():
+    # search's closed-form gmax, gmin and leaf corners give evaluate_b_wq's
+    # B and Wq on the spliced tuples, in every regime, on random normalized
+    # boxes (shrunk ones too) and prefixes drawn the way search branches;
+    # a carried prefix's log offset plus log Q is its exact log q(k_{d-1})
+    rng = random.Random(89)
+    draws = {"ordinary": lambda r: random_instance(r, 2, 40), "large": _large_instance,
+             **{name: (lambda r, name=name: regime_instance(r, name)) for name in REGIMES},
+             "deep": lambda r: Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)}
+    checked = dict.fromkeys(draws, 0)
+    widest = 0.0
+    for name, draw in draws.items():
+        tol = 1e-9 if name in ("wide", "deep") else 1e-12
+        for _ in range(4 if name == "deep" else 120):
+            inst = draw(rng)
+            store = _random_store(rng, inst, 6 if name == "deep" else None)
+            if store.failed:
+                continue
+            corners = _Corners(inst, store)
+            lrs = [math.log(inst.lam / (i * inst.mu)) for i in range(1, inst.N + 1)]
+            for _ in range(5):
+                head = ()
+                for t in range(rng.randint(0, inst.N)):
+                    floor = head[-1] + 1 if head else 0
+                    head += (rng.randint(max(store.lo[t], floor), store.hi[t]),)
+                prefix, a = _carried(corners, head)
+                c, q = prefix[:2]
+                exact = math.fsum((head[i] - head[i - 1]) * lrs[i - 1] for i in range(1, len(head)))
+                if q > 0.0:
+                    assert abs(c + math.log(q) - exact) <= 1e-9 * max(1.0, abs(exact)), (inst, head)
+                widest = max(widest, c)
+                d = len(head)
+                pairs = [(corners.upper, gmax)] + [(corners.lower, gmin)] * (d < inst.N)
+                for rows, corner in pairs:
+                    got = corners.b_wq(prefix, corners.complete(rows, d, a))
+                    want = evaluate_b_wq(inst, corner(inst, store, head))
+                    assert rel_close(got[0], want[0], tol) and rel_close(got[1], want[1], tol), \
+                        (name, inst, store.lo, store.hi, head, got, want)
+                    checked[name] += 1
+    assert min(checked.values()) > 20, checked
+    # wide prefixes carry q past float range, e^709
+    assert widest > 1000.0, widest
+
+
 def test_corners_on_failed_store():
     store = DomainStore.initial(EXAMPLE)
     store.failed = True
@@ -423,51 +493,63 @@ def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
     descend(0, ())
 
 
+def _recording_consider(monkeypatch):
+    """Records every policy offered to any Incumbent, in order."""
+    offered = []
+    consider = Incumbent.consider
+
+    def recording(self, pol, wq):
+        offered.append(pol)
+        return consider(self, pol, wq)
+
+    monkeypatch.setattr(Incumbent, "consider", recording)
+    return offered
+
+
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
-    # same evaluated policies in the same order, same counts, same incumbent
-    # and the same restart point as the recursive descent
+    # the same counts, the same leaves offered to the incumbent in the same
+    # order, the same incumbent and the same restart point as the recursive
+    # descent over spliced corner tuples; Wq agrees to rounding
     rng = random.Random(83)
-    seen = []
-
-    def recording(inst, pol):
-        seen.append(pol)
-        return evaluate_b_wq(inst, pol)
-
-    monkeypatch.setattr(solver_mod, "evaluate_b_wq", recording)
+    offered = _recording_consider(monkeypatch)
     cases = desk_suite[:40] + [random_instance(rng, 3, 12) for _ in range(60)]
+    leaves = 0
     for k, inst in enumerate(cases):
         restart = k % 3 == 0
-        runs = []
+        runs, wqs = [], []
         for fn in (search, _recursive_search):
             store, stats, inc = fresh_parts(inst)
-            seen.clear()
+            offered.clear()
             try:
                 fn(inst, store, inc, stats, restart_on_improve=restart)
                 raised = False
             except _Improved:
                 raised = True
-            runs.append((list(seen), stats, inc.policy, inc.wq, raised))
+            runs.append((list(offered), stats, inc.policy, raised))
+            wqs.append(inc.wq)
         assert runs[0] == runs[1], inst
+        assert rel_close(wqs[0], wqs[1], 1e-12), (inst, wqs)
+        leaves += len(runs[0][0])
+    assert leaves > 150, leaves
 
 
 def test_search_reaches_depths_past_the_recursion_limit(monkeypatch):
     # N = 1200 switching points: a recursive descent overflows the
-    # interpreter's stack near depth 1000; the explicit stack times out cleanly
+    # interpreter's stack near depth 1000; the explicit stack reaches leaves,
+    # at depth 1200, and times out cleanly
     base = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)
-    bl = (evaluate_b_wq(base, max_backroom_policy(base))[0]
-          + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
+    extremes = {max_backroom_policy(base), min_wait_policy(base)}
+    bl = sum(evaluate_b_wq(base, pol)[0] for pol in extremes) / 2
     inst = Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=bl)
-    depth = [0]
-
-    def deepest_gmax(inst, store, head=(), start=0):
-        depth[0] = max(depth[0], len(head))
-        return gmax(inst, store, head, start)
-
-    monkeypatch.setattr(solver_mod, "gmax", deepest_gmax)
+    offered = _recording_consider(monkeypatch)
     res = solve(inst, SolverConfig(strategy="none", time_limit=2.0))
     assert res.status == "timeout-with-incumbent" and not res.proof
-    assert res.wq == evaluate_b_wq(inst, res.incumbent)[1]
-    assert depth[0] > 1000
+    # search offered leaves of its own, each 1201 entries long
+    assert set(offered) - extremes
+    # the incumbent is such a leaf, and on this wide instance its Wq is
+    # carried, not computed by the workspace
+    assert res.incumbent not in extremes
+    assert rel_close(res.wq, evaluate_b_wq(inst, res.incumbent)[1], 1e-9)
 
 
 def _dominance_cut(pol, n):
@@ -560,6 +642,86 @@ def test_every_strategy_agrees_with_brute_force():
     assert solved > 20
 
 
+def _fields(res):
+    return (res.status, res.incumbent, res.wq, res.proof, res.stats)
+
+
+def test_every_regime_agrees_with_brute_force(monkeypatch):
+    # a seeded matrix of instances from each evaluator regime: every
+    # strategy, plain and hybrid, proves the brute-force optimum, P1 never
+    # beats it, and four threads solving the matrix match the serial run
+    # field for field; each regime reaches the path it exists for
+    rng = random.Random(97)
+    matrix = [(regime, regime_instance(rng, regime)) for regime in REGIMES for _ in range(3)]
+    cfgs = [SolverConfig(strategy=s, hybrid=h, time_limit=None)
+            for s in STRATEGIES for h in (False, True)]
+    offsets, rows = {}, {}  # per instance: largest log offset; {d: row size} built
+    unbounded = []  # corners whose B or Wq is not finite
+    child, b_wq, extend = _Corners.child, _Corners.b_wq, solver_mod._extend_segment
+
+    def recording_child(self, parent, d, a, v):
+        out = child(self, parent, d, a, v)
+        offsets[self.inst] = max(offsets.get(self.inst, 0.0), out[0])
+        return out
+
+    def recording_b_wq(self, prefix, completion):
+        out = b_wq(self, prefix, completion)
+        if not all(map(math.isfinite, out)):
+            unbounded.append((self.inst, prefix, completion, out))
+        return out
+
+    def recording_row(inst, d, row, size):
+        built = rows.setdefault(inst, {})
+        built[d] = max(built.get(d, 0), size)
+        extend(inst, d, row, size)
+
+    monkeypatch.setattr(_Corners, "child", recording_child)
+    monkeypatch.setattr(_Corners, "b_wq", recording_b_wq)
+    monkeypatch.setattr(solver_mod, "_extend_segment", recording_row)
+    serial = []
+    for regime, inst in matrix:
+        found = brute_force_optimum(inst)
+        assert found is not None, inst
+        for cfg in cfgs:
+            res = solve(inst, cfg)
+            assert res.status == "optimal" and res.proof, (regime, inst, cfg)
+            assert abs(res.wq - found[1]) <= 1e-9 * max(1.0, found[1]), (regime, inst, cfg)
+            serial.append(_fields(res))
+        p1 = run_p1(inst)
+        assert p1.wq >= found[1] - 1e-9 * max(1.0, found[1]), (regime, inst)
+        lrs = [math.log(inst.lam / (i * inst.mu)) for i in range(1, inst.N + 1)]
+        if regime == "wide":
+            assert isinstance(_workspace(inst, threading.get_ident()), _ModeWorkspace)
+            # search carried q past float range, e^709, in its log offsets
+            assert offsets[inst] > 709.0, (inst, offsets[inst])
+        elif regime == "near-one":
+            # a segment whose ratio is within 1e-3 of one is summed
+            assert {i for i, lr in enumerate(lrs, 1) if abs(lr) < 1e-3} & set(rows[inst]), inst
+        elif regime in ("heavy", "light"):
+            blocked = evaluate_direct(inst, found[0]).pBlock
+            assert blocked > 0.5 if regime == "heavy" else blocked < 0.01, (inst, blocked)
+        else:
+            # segments as long as half the capacity, in rows grown to hold them
+            assert max(rows[inst].values()) > inst.S // 2, (inst, rows[inst])
+    # no inf or nan reached a prune decision
+    assert not unbounded, unbounded[:3]
+    monkeypatch.undo()
+    jobs = [(inst, cfg) for _, inst in matrix for cfg in cfgs]
+    threaded = [None] * len(jobs)
+
+    def work(t):
+        for k in range(t, len(jobs), 4):
+            threaded[k] = _fields(solve(*jobs[k]))
+
+    workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120.0)
+    assert not any(worker.is_alive() for worker in workers)
+    assert threaded == serial
+
+
 def test_hybrid_seeds_the_heuristic_result():
     res = solve(EXAMPLE, SolverConfig(hybrid=True))
     assert res.status == "optimal" and res.incumbent == OPT_POLICY
@@ -602,7 +764,8 @@ def test_repeat_solves_compute_alike(b_wq_calls, desk_suite):
                 res = solve(inst, cfg)
                 runs.append((b_wq_calls[0], res.stats.evaluations))
             assert runs[0] == runs[1], (inst, cfg)
-            # and the memo answers some of the solver's repeats
+            # and fewer policies are computed than counted: search's corners
+            # never reach the workspace, and the memo answers repeats
             assert runs[0][0] < runs[0][1], (inst, cfg)
 
 
