@@ -34,7 +34,6 @@ _NEAR_ONE_TOL = 1e-3  # |r - 1| below this: the closed first moment sums term by
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
 _LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
-_SHORT_HEAD = 16  # unmoved heads longer than this are found by a doubling window
 
 Policy = tuple[int, ...]
 
@@ -255,12 +254,10 @@ class _Workspace:
         above a state past max(old k_l, new k_l).  So an unhinted call
         rewrites just the states in between, taking each ratio from pol's
         segments; a +-1 move is a one-state range, a repeat of the previous
-        policy rewrites nothing, and a fresh workspace fills (k_0, S].  f is
-        found by a scan of the first _SHORT_HEAD points and past them by a
-        window of C-level tuple compares that doubles and then halves.  l is
+        policy rewrites nothing, and a fresh workspace fills (k_0, S].  l is
         the last index when that point moved, f when the tails after f
-        agree, and otherwise found by the same window run from the end, so
-        neither a long unmoved head nor a long unmoved tail costs a
+        agree, and otherwise found by a window of C-level tuple compares that
+        doubles from the end and then halves, so a long unmoved tail costs no
         Python-level scan.  Short ranges are written state by state through
         the memoryview; past _LONG_RUN states, one np.repeat over the segment
         lengths is cheaper.
@@ -277,22 +274,12 @@ class _Workspace:
         if last is None:
             i, t, j, end = 0, pol[0], self.n - 1, self.s
         else:
-            if pol == last:
-                return
             f = 0
-            while f < _SHORT_HEAD and pol[f] == last[f]:
-                f += 1
-            if f == _SHORT_HEAD:
-                # the heads before f agree; the first moved index lies in [f, hi)
-                hi = 2 * f
-                while pol[f:hi] == last[f:hi]:
-                    f, hi = hi, 2 * hi
-                while hi - f > 1:
-                    mid = (f + hi) // 2
-                    if pol[f:mid] == last[f:mid]:
-                        f = mid
-                    else:
-                        hi = mid
+            try:
+                while pol[f] == last[f]:
+                    f += 1
+            except IndexError:  # the scan passed k_N = S: nothing moved
+                return
             l = self.n - 1
             if pol[l] == last[l]:
                 if pol[f + 1:] == last[f + 1:]:

@@ -14,6 +14,8 @@ evaluates it with ``evaluate_b_wq`` through the solve's memo.  Search keeps
 the box fixed and extends one prefix at a time, so it carries each prefix's
 mass and first moment in closed form and completes it from tables of
 geometric sums: every corner and leaf then costs O(1), whatever S and N are.
+Only a leaf that improves the incumbent goes to ``evaluate_b_wq`` as well,
+so the incumbent's Wq is the evaluator's whichever way it was found.
 """
 
 import math
@@ -220,10 +222,11 @@ def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
     """Largest policy in the box with k_start.. fixed to head.
 
     Mirror image of gmin: hi up to a run packed downward to head's first
-    value, then head, then the rest of hi.  On a search prefix (start 0) the
-    run is empty and the corner is head + hi[len(head):].  The run puts
-    w - u + t at index t, down from u = start - 1, while hi[t] - t > w - u,
-    and is bisected like gmin's.
+    value, then head, then the rest of hi.  The shave probes use both; with
+    start 0 the run is empty and the corner is head + hi[len(head):], the
+    spliced form that the tests hold search's carried corners to.  The run
+    puts w - u + t at index t, down from u = start - 1, while
+    hi[t] - t > w - u, and is bisected like gmin's.
     """
     if store.failed:
         return None
@@ -512,9 +515,12 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     downward corner cannot improve the incumbent.  Corners and leaves are
     evaluated in closed form on carried prefixes (see ``_Corners``), each in
     O(1) and counted as one evaluation; no policy tuple is built except for
-    a feasible leaf.  Counts every visited node in stats.  Raises
-    SolveTimeout at the deadline, and _Improved instead of continuing when
-    restart_on_improve is set and the incumbent improves.
+    a feasible leaf.  A leaf whose carried Wq would improve the incumbent is
+    evaluated once more, uncounted, by ``evaluate_b_wq``, and the incumbent
+    takes that answer, so a result's Wq is the evaluator's for its policy.
+    Counts every visited node in stats.  Raises SolveTimeout at the
+    deadline, and _Improved instead of continuing when restart_on_improve is
+    set and the incumbent improves.
     """
     if store.failed:
         return
@@ -539,8 +545,14 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
         stats.evaluations += 1
         b, wq = b_wq(prefix, upper[i] or complete(upper, d, a))
         if d == n:
-            if b >= target and inc.consider((*ks, s), wq) and restart_on_improve:
-                raise _Improved
+            if b >= target:
+                pol = (*ks, s)
+                if wq < inc.wq - EPS_WQ:
+                    # an improvement keeps the evaluator's (B, Wq) for its
+                    # policy, not the carried one; improvements are rare
+                    b, wq = evaluate_b_wq(inst, pol)
+                if b >= target and inc.consider(pol, wq) and restart_on_improve:
+                    raise _Improved
         elif b >= target:
             stats.evaluations += 1
             if b_wq(prefix, lower[i] or complete(lower, d, a))[1] < inc.wq - EPS_WQ:
@@ -580,8 +592,9 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     start = time.perf_counter()
     deadline = start + cfg.time_limit if cfg.time_limit is not None else None
     stats = SearchStats()
-    # probes and search revisit many corners; every return drops the memo,
-    # because results outlive the solve
+    # the shave probes and the two extreme policies revisit many corners
+    # (search carries its own); every return drops the memo, because
+    # results outlive the solve
     stats.memo = {} if inst.N + 1 <= _MEMO_MAX_LEN else None
     inc = Incumbent(start=start)
 

@@ -15,6 +15,7 @@ from switchq import (GenSpec, Instance, evaluate_b_wq, generate, max_backroom_po
                      min_wait_policy)
 from switchq.core import _ModeWorkspace, _Workspace
 from switchq.policies import brute_force_optimum
+import switchq.solver as solver_mod
 from switchq.solver import SolverConfig, solve
 
 # canonical worked example: S=6, N=3, lam=15, mu=3, Bl=0.32
@@ -178,4 +179,25 @@ def b_wq_calls(monkeypatch) -> list[int]:
 
     for cls in (_Workspace, _ModeWorkspace):
         monkeypatch.setattr(cls, "b_wq", counting(cls.__dict__["b_wq"]))
+    return calls
+
+
+@pytest.fixture
+def eval_calls(monkeypatch, b_wq_calls) -> list[int]:
+    """Two-entry counter of the solver's ``_eval`` calls, the evaluations of
+    the probes and the extreme policies: [calls, workspace ``b_wq`` calls made
+    inside them].  The second falls short of the first by the memo's hits;
+    search's corners and its evaluations of improving leaves are in neither.
+    The test may reset the entries."""
+    calls = [0, 0]
+    inner = solver_mod._eval
+
+    def counting(inst, pol, stats):
+        before = b_wq_calls[0]
+        out = inner(inst, pol, stats)
+        calls[0] += 1
+        calls[1] += b_wq_calls[0] - before
+        return out
+
+    monkeypatch.setattr(solver_mod, "_eval", counting)
     return calls

@@ -508,15 +508,15 @@ def _recording_consider(monkeypatch):
 
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
     # the same counts, the same leaves offered to the incumbent in the same
-    # order, the same incumbent and the same restart point as the recursive
-    # descent over spliced corner tuples; Wq agrees to rounding
+    # order, the same incumbent with the same Wq and the same restart point as
+    # the recursive descent over spliced corner tuples
     rng = random.Random(83)
     offered = _recording_consider(monkeypatch)
     cases = desk_suite[:40] + [random_instance(rng, 3, 12) for _ in range(60)]
     leaves = 0
     for k, inst in enumerate(cases):
         restart = k % 3 == 0
-        runs, wqs = [], []
+        runs = []
         for fn in (search, _recursive_search):
             store, stats, inc = fresh_parts(inst)
             offered.clear()
@@ -525,10 +525,8 @@ def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
                 raised = False
             except _Improved:
                 raised = True
-            runs.append((list(offered), stats, inc.policy, raised))
-            wqs.append(inc.wq)
+            runs.append((list(offered), stats, inc.policy, inc.wq, raised))
         assert runs[0] == runs[1], inst
-        assert rel_close(wqs[0], wqs[1], 1e-12), (inst, wqs)
         leaves += len(runs[0][0])
     assert leaves > 150, leaves
 
@@ -546,10 +544,9 @@ def test_search_reaches_depths_past_the_recursion_limit(monkeypatch):
     assert res.status == "timeout-with-incumbent" and not res.proof
     # search offered leaves of its own, each 1201 entries long
     assert set(offered) - extremes
-    # the incumbent is such a leaf, and on this wide instance its Wq is
-    # carried, not computed by the workspace
+    # the incumbent is such a leaf, with the evaluator's Wq
     assert res.incumbent not in extremes
-    assert rel_close(res.wq, evaluate_b_wq(inst, res.incumbent)[1], 1e-9)
+    assert res.wq == evaluate_b_wq(inst, res.incumbent)[1]
 
 
 def _dominance_cut(pol, n):
@@ -753,20 +750,21 @@ def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
         assert got.trace == want.trace, inst
 
 
-def test_repeat_solves_compute_alike(b_wq_calls, desk_suite):
+def test_repeat_solves_compute_alike(b_wq_calls, eval_calls, desk_suite):
     # the memo lives for one solve: a second identical solve in the same
     # thread computes as many evaluations as the first, not fewer
     for inst in desk_suite[:5]:
         for cfg in [SolverConfig(strategy=s) for s in STRATEGIES] + [SolverConfig(hybrid=True)]:
             runs = []
             for _ in range(2):
-                b_wq_calls[0] = 0
+                b_wq_calls[0] = eval_calls[0] = eval_calls[1] = 0
                 res = solve(inst, cfg)
-                runs.append((b_wq_calls[0], res.stats.evaluations))
+                runs.append((b_wq_calls[0], *eval_calls, res.stats.evaluations))
             assert runs[0] == runs[1], (inst, cfg)
-            # and fewer policies are computed than counted: search's corners
-            # never reach the workspace, and the memo answers repeats
-            assert runs[0][0] < runs[0][1], (inst, cfg)
+            # and where the probes run, the memo answers some of their
+            # repeats: fewer of them are computed than counted
+            if cfg.strategy != "none":
+                assert runs[0][2] < runs[0][1], (inst, cfg, runs[0])
 
 
 def test_solve_results_hold_no_memo(desk_suite):
