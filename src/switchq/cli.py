@@ -268,7 +268,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     inst = _load_instance(args.instance_file, args.index)
-    res = run_p1(inst)
+    res = run_p1(inst, trace=args.trace)
     if args.trace:
         for st in res.trace:
             print(f"{_fmt_policy(st.policy)} B={st.B!r} Wq={st.Wq!r} {st.action}")

@@ -45,11 +45,16 @@ class HeuristicResult:
     policy: Policy | None
     wq: float | None
     steps: int               # policy evaluations performed
-    trace: list[HeuristicStep] = field(default_factory=list)
+    trace: list[HeuristicStep] = field(default_factory=list)  # empty unless run_p1(trace=True)
 
 
-def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
+def run_p1(inst: Instance, deadline: float | None = None, *,
+           trace: bool = False) -> HeuristicResult:
     """Run the heuristic and return the best feasible policy it visits.
+
+    With trace=True the result's ``trace`` holds one ``HeuristicStep`` per
+    evaluated policy, in walk order; otherwise it stays empty and the walk
+    keeps nothing per step.  ``steps`` counts the evaluations either way.
 
     deadline is a ``time.perf_counter()`` reading.  It is checked before
     every evaluation after the first; once it has passed, the walk stops with
@@ -66,18 +71,17 @@ def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
     validate_instance(inst)
     s, n = inst.S, inst.N
     k = list(max_backroom_policy(inst))
-    trace: list[HeuristicStep] = []
-    record = trace.append
+    log: list[HeuristicStep] = []
     evaluate = _fast_eval(inst)
-    dec_label = [f"dec k{t}" for t in range(n)]
-    inc_label = [f"inc k{t}" for t in range(n)]
 
     target = inst.Bl - EPS_B
     pol = tuple(k)
     b, wq = evaluate(pol)
-    record(HeuristicStep(pol, b, wq, "start"))
+    steps = 1
+    if trace:
+        log.append(HeuristicStep(pol, b, wq, "start"))
     if b < target:
-        return HeuristicResult("infeasible", None, None, len(trace), trace)
+        return HeuristicResult("infeasible", None, None, steps, log)
     best_pol, best_wq = pol, wq
     big_j = n
     # Indices below floor cannot move down: a decrement at j leaves the gaps
@@ -86,10 +90,10 @@ def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
     floor = 0
     cap = 20 * (n + 1) * (s + 2) + 100
     while True:
-        if len(trace) > cap:
+        if steps > cap:
             raise RuntimeError("heuristic exceeded its move budget; this is a bug")
         if deadline is not None and time.perf_counter() > deadline:
-            return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
+            return HeuristicResult("timeout", best_pol, best_wq, steps, log)
         for j in range(floor, big_j):
             if type1_eligible(k, j):
                 break
@@ -99,7 +103,9 @@ def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
         k[j] -= 1
         pol = tuple(k)
         b, wq = evaluate(pol, j)
-        record(HeuristicStep(pol, b, wq, dec_label[j]))
+        steps += 1
+        if trace:
+            log.append(HeuristicStep(pol, b, wq, f"dec k{j}"))
         if b < target:
             big_j = j
             # raising k_{j2} widens only the gap below it, so every index
@@ -110,17 +116,19 @@ def run_p1(inst: Instance, deadline: float | None = None) -> HeuristicResult:
                     if type2_eligible(k, j2):
                         break
                 else:
-                    return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
+                    return HeuristicResult("solved", best_pol, best_wq, steps, log)
                 if deadline is not None and time.perf_counter() > deadline:
-                    return HeuristicResult("timeout", best_pol, best_wq, len(trace), trace)
+                    return HeuristicResult("timeout", best_pol, best_wq, steps, log)
                 if j2 < floor:
                     floor = j2
                 k[j2] += 1
                 pol = tuple(k)
                 b, wq = evaluate(pol, j2)
-                record(HeuristicStep(pol, b, wq, inc_label[j2]))
+                steps += 1
+                if trace:
+                    log.append(HeuristicStep(pol, b, wq, f"inc k{j2}"))
                 if b >= target:
                     break
         if wq < best_wq - IMPROVE_EPS:
             best_pol, best_wq = pol, wq
-    return HeuristicResult("solved", best_pol, best_wq, len(trace), trace)
+    return HeuristicResult("solved", best_pol, best_wq, steps, log)

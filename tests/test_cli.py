@@ -63,6 +63,10 @@ def test_heuristic_command(example_file, capsys):
     assert len([ln for ln in lines if ln.startswith(("0", "1", "2", "3"))]) == 14
     assert "policy 0,3,4,6" in lines
     assert any(ln.startswith("evaluations 14") for ln in lines)
+    # without --trace only the answer is printed, and it still counts every step
+    assert main(["heuristic", "--instance-file", example_file, "--index", "0"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert plain == lines[-3:] and plain[-1] == "evaluations 14"
 
 
 def test_heuristic_infeasible_exit_code(example_file, capsys):

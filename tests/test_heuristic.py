@@ -1,10 +1,11 @@
 """Heuristic walk tests: the frozen canonical trace plus random soundness."""
 
+import hashlib
 import random
 import time
 from types import SimpleNamespace
 
-from conftest import EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
+from conftest import DESK_SPEC, EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
 from switchq import heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
 from switchq.core import EPS_B, _ModeWorkspace, max_backroom_policy, min_wait_policy
@@ -41,7 +42,7 @@ def test_eligibility_predicates():
 
 
 def test_example_walk_is_frozen():
-    res = run_p1(EXAMPLE)
+    res = run_p1(EXAMPLE, trace=True)
     assert res.status == "solved"
     assert res.policy == OPT_POLICY
     assert res.steps == 14 == len(res.trace)
@@ -53,7 +54,7 @@ def test_example_walk_is_frozen():
 
 def test_example_walk_revisits_two_policies():
     # the repair loop legitimately crosses two policies a second time
-    seen = [st.policy for st in run_p1(EXAMPLE).trace]
+    seen = [st.policy for st in run_p1(EXAMPLE, trace=True).trace]
     assert len(seen) - len(set(seen)) == 2
     assert seen.count((0, 2, 4, 6)) == 2
     assert seen.count((1, 2, 4, 6)) == 2
@@ -74,7 +75,7 @@ def test_infeasible_instance_detected_at_start():
 
 
 def test_past_deadline_stops_after_first_evaluation():
-    res = run_p1(EXAMPLE, deadline=time.perf_counter() - 1.0)
+    res = run_p1(EXAMPLE, deadline=time.perf_counter() - 1.0, trace=True)
     assert res.status == "timeout" and res.steps == 1
     assert res.policy == max_backroom_policy(EXAMPLE)
     assert res.wq == res.trace[0].Wq
@@ -86,14 +87,14 @@ def test_deadline_cuts_the_walk_after_any_step(monkeypatch):
     # repair as well as between moves
     rng = random.Random(17)
     for inst in [EXAMPLE] + [random_instance(rng, 4, 12) for _ in range(10)]:
-        full = run_p1(inst)
+        full = run_p1(inst, trace=True)
         if full.status == "infeasible":
             continue
         target = inst.Bl - EPS_B
         for d in range(full.steps - 1):
             ticks = iter(range(1, full.steps + 1))
             monkeypatch.setattr(heuristic, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-            res = run_p1(inst, deadline=d)
+            res = run_p1(inst, deadline=d, trace=True)
             monkeypatch.undo()
             assert res.status == "timeout" and res.steps == d + 1
             assert res.trace == full.trace[:d + 1]
@@ -108,7 +109,7 @@ def test_random_walks_terminate_and_return_feasible():
     rng = random.Random(13)
     for _ in range(300):
         inst = random_instance(rng, 2, 40)
-        res = run_p1(inst)
+        res = run_p1(inst, trace=True)
         assert res.steps == len(res.trace) > 0
         s, n = inst.S, inst.N
         assert res.steps <= 20 * (n + 1) * (s + 2) + 100
@@ -188,7 +189,7 @@ def test_walk_matches_one_at_a_time_reference():
     long_walks = 0
     for inst in insts:
         ref_trace, ref_pol = _reference_p1(inst)
-        res = run_p1(inst)
+        res = run_p1(inst, trace=True)
         assert [(st.policy, st.B, st.Wq, st.action) for st in res.trace] == ref_trace, inst
         assert res.policy == ref_pol
         long_walks += len(ref_trace) > 500
@@ -202,7 +203,36 @@ def test_wide_walk_matches_fresh_workspaces():
     # workspace gives for that policy
     inst = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
     assert sum(inst.lam / (i * inst.mu) >= 1.0 for i in range(1, inst.N + 1)) == 7
-    res = run_p1(inst)
+    res = run_p1(inst, trace=True)
     assert res.steps == len(res.trace) == 3451
     for st in res.trace:
         assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
+
+
+# SHA-256 over every step of the traced walks on each suite, one line per
+# step: policy, move label, B.hex(), Wq.hex()
+WALK_DIGESTS = {
+    "desk": (7994, "a954e30a26a251f9df52d0eaefa12b7b664034b00cc86e5bc83064ad535c09cb"),
+    "tall": (15623, "55ad2bc2e520e8933d7d6fc00e4e333da2640c5e388ddb0ad903404ef7136fcd"),
+}
+
+
+def _answer(res):
+    return res.status, res.policy, None if res.wq is None else res.wq.hex(), res.steps
+
+
+def test_suite_walks_are_pinned_bit_for_bit():
+    for label, spec in (("desk", DESK_SPEC), ("tall", TALL_SPEC)):
+        digest = hashlib.sha256()
+        count = 0
+        for inst in generate(spec):
+            traced = run_p1(inst, trace=True)
+            for st in traced.trace:
+                digest.update(f"{st.policy} {st.action} {st.B.hex()} {st.Wq.hex()}\n".encode())
+            count += len(traced.trace)
+            assert traced.steps == len(traced.trace)
+            # without the trace the walk must answer the same, and keep nothing
+            plain = run_p1(inst)
+            assert plain.trace == []
+            assert _answer(plain) == _answer(traced), inst
+        assert (count, digest.hexdigest()) == WALK_DIGESTS[label], label

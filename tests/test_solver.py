@@ -12,6 +12,7 @@ from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, evaluate_direct, generate,
                      max_backroom_policy, min_wait_policy, run_p1, search, solve)
 from switchq.core import _ModeWorkspace, _workspace
+import switchq.heuristic as heuristic_mod
 import switchq.solver as solver_mod
 from switchq.solver import (_ROOT, _SHORT_RUN, EPS_WQ, Incumbent, SearchStats, _Corners, _eval,
                             _Improved, alternating_shave, bl_gmax_probe, bl_gmin_probe, bl_shave,
@@ -732,7 +733,7 @@ def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
     walks = []
 
     def recording(inst, deadline=None):
-        walks.append(run_p1(inst, deadline))
+        walks.append(run_p1(inst, deadline, trace=True))
         return walks[-1]
 
     monkeypatch.setattr(solver_mod, "run_p1", recording)
@@ -742,12 +743,13 @@ def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
     assert len(walks) == len(insts)
     # the reference walks run in a thread of their own, on fresh workspaces
     standalone = []
-    worker = threading.Thread(target=lambda: standalone.extend(map(run_p1, insts)))
+    worker = threading.Thread(target=lambda: standalone.extend(
+        run_p1(inst, trace=True) for inst in insts))
     worker.start()
     worker.join(timeout=60.0)
     assert not worker.is_alive() and len(standalone) == len(insts)
     for inst, got, want in zip(insts, walks, standalone):
-        assert got.trace == want.trace, inst
+        assert got.trace and got.trace == want.trace, inst
 
 
 def test_repeat_solves_compute_alike(b_wq_calls, eval_calls, desk_suite):
@@ -831,6 +833,28 @@ def test_solve_counts_on_the_desk_suite(desk_suite):
             got = [a + b for a, b in zip(got, (res.stats.nodes, res.stats.shave_iterations,
                                                res.stats.evaluations))]
         assert tuple(got) == want, label
+
+
+def test_hybrid_and_plain_walks_create_no_steps(monkeypatch, desk_suite):
+    # only a traced walk builds HeuristicStep records; the hybrid's walk and
+    # a default run_p1 keep nothing per step, with the same counts
+    def no_step(*args):
+        raise AssertionError("HeuristicStep built by an untraced walk")
+
+    monkeypatch.setattr(heuristic_mod, "HeuristicStep", no_step)
+    got = [0, 0, 0]
+    for i, inst in enumerate(desk_suite[:40]):
+        res = solve(inst, SolverConfig(hybrid=True))
+        assert res.status == "optimal", inst
+        if i < 25:
+            got = [a + b for a, b in zip(got, (res.stats.nodes, res.stats.shave_iterations,
+                                               res.stats.evaluations))]
+        walk = run_p1(inst)
+        assert walk.trace == [] and walk.steps > 0, inst
+    assert tuple(got) == DESK_COUNTS["hybrid"]
+    for strategy, (_, want) in REGRESSION_COUNTS.items():
+        res = solve(EXAMPLE, SolverConfig(strategy=strategy, hybrid=True))
+        assert (res.stats.nodes, res.stats.shave_iterations, res.stats.evaluations) == want
 
 
 def test_incumbent_trace_is_monotone():
