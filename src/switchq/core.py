@@ -175,26 +175,6 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
     return Metrics(p=p, F=f, B=n - f, L=big_l, Wq=wq, pBlock=p[s])
 
 
-def _direct_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
-    """B and Wq by the direct recursion, without validation or the normalized vector.
-
-    The brute-force judge's confirmer: the judge screens whole blocks of
-    policies with its own batched arithmetic and calls this only for the few
-    whose feasibility or rank the screen cannot settle, so its answers are
-    this function's.  Callers pass trusted policies.
-    """
-    s, n, lam, mu = inst.S, inst.N, inst.lam, inst.mu
-    k0 = pol[0]
-    q = _balance_weights(inst, pol)
-    tot = math.fsum(q[k0:])
-    f = math.fsum(i * q[j] for i in range(1, n + 1) for j in range(pol[i - 1] + 1, pol[i] + 1)) / tot
-    big_l = math.fsum(t * q[t] for t in range(k0, s + 1)) / tot
-    p_s = q[s] / tot
-    admitted = lam * (1.0 - p_s)
-    wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return n - f, wq
-
-
 # ---------------------------------------------------------------------------
 # vectorized route: the balance recursion as cumulative products
 
@@ -211,7 +191,8 @@ def _ones_t(s: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Reusable buffers for ``evaluate_b_wq`` on one instance in one thread.
+    """Reusable buffers for the vectorized route on one instance, owned by one
+    caller at a time: a thread's ``evaluate_b_wq`` calls, or one P1 walk.
 
     step_buf[t] holds the balance ratio into state t, t = k_0 + 1..S, for
     the policy of the previous call, and the product runs forward from
@@ -220,9 +201,10 @@ class _Workspace:
     small (a tail that underflows to zero is harmless).  Each call rewrites
     only the states whose segment changed (``_sync``); those ratios are a
     function of the policy alone, and so is the result.  A caller that moved
-    exactly one switching point by one step since its previous call here may
-    pass that point's index as ``moved``, which goes straight to the
-    one-entry patch and skips the search for the moved points.
+    exactly one switching point by one step since its own previous call here,
+    which holds when it alone drives the workspace, may pass that point's
+    index as ``moved``: that goes straight to the one-entry patch and skips
+    the search for the moved points.
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -394,23 +376,18 @@ class _ModeWorkspace(_Workspace):
         return self.n - f, wq
 
 
-@lru_cache(maxsize=32)
-def _workspace(inst: Instance, thread: int) -> _Workspace:
-    """The workspace of one instance for one thread; threads never share one."""
+def _new_workspace(inst: Instance) -> _Workspace:
+    """A fresh workspace for inst, mode-anchored when a product run forward
+    from k_0 could overflow."""
     if inst.lam > inst.mu and inst.S * math.log(inst.lam / inst.mu) > _CUMPROD_LIMIT:
         return _ModeWorkspace(inst)
     return _Workspace(inst)
 
 
-def _fast_eval(inst: Instance):
-    """The calling thread's bound vectorized evaluator for inst.
-
-    Lets tight loops skip the per-call cache lookup in evaluate_b_wq and pass
-    b_wq's ``moved`` hint, which holds when the caller alone drives the
-    buffers.  Every instance has one: wide instances get the mode-anchored
-    workspace.
-    """
-    return _workspace(inst, get_ident()).b_wq
+@lru_cache(maxsize=32)
+def _workspace(inst: Instance, thread: int) -> _Workspace:
+    """evaluate_b_wq's workspace of one instance for one thread; threads never share one."""
+    return _new_workspace(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import EPS_B, Instance, Policy, _fast_eval, max_backroom_policy, validate_instance
+from .core import EPS_B, Instance, Policy, _new_workspace, max_backroom_policy, validate_instance
 
 IMPROVE_EPS = 1e-12
 
@@ -72,7 +72,7 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     s, n = inst.S, inst.N
     k = list(max_backroom_policy(inst))
     log: list[HeuristicStep] = []
-    evaluate = _fast_eval(inst)
+    evaluate = _new_workspace(inst).b_wq  # the walk's own: its ``moved`` hints always hold
 
     target = inst.Bl - EPS_B
     pol = tuple(k)

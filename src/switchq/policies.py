@@ -15,9 +15,9 @@ never the flow-balance identity, and nothing is shared with
 ``evaluate_b_wq`` or its workspaces.  The screen only narrows the field: a
 policy whose B lies within the screen's error bound of the back-room target,
 or whose Wq might reach the running minimum, is decided by the direct
-recursion (``_direct_b_wq``), feasibility first and then in lexicographic
-order.  The answer is therefore the one the direct recursion gives when run
-over every policy, bit for bit.
+oracle ``evaluate_direct``, feasibility first and then in lexicographic
+order.  The answer is therefore the one that oracle gives when run over
+every policy, bit for bit.
 """
 
 import itertools
@@ -26,7 +26,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import EPS_B, Instance, Policy, _direct_b_wq, validate_instance
+from .core import EPS_B, Instance, Policy, evaluate_direct, validate_instance
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -99,9 +99,9 @@ def _screen(inst: Instance, fronts: np.ndarray, down: np.ndarray,
 def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, float] | None:
     """Enumerate everything and return (policy, wq) for the best feasible one.
 
-    The result is the direct recursion's: the first policy in lexicographic
+    The result is the direct oracle's: the first policy in lexicographic
     order with the smallest Wq among those whose B meets Bl - eps_b, exactly
-    as a loop of ``_direct_b_wq`` over ``iter_policies`` that keeps only
+    as a loop of ``evaluate_direct`` over ``iter_policies`` that keeps only
     strict improvements would return it.  Returns None when no policy meets
     the back-room target.  Spaces larger than ENUMERATION_LIMIT are refused.
     """
@@ -131,9 +131,9 @@ def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, f
         exact: dict[int, float] = {}
         feasible = b >= target
         for r in np.flatnonzero(np.abs(b - target) <= b_err).tolist():
-            b_r, exact[r] = _direct_b_wq(inst, tuple(fronts[r].tolist()) + (s,))
-            feasible[r] = b_r >= target
-            wq_lo[r] = wq_hi[r] = exact[r]
+            m = evaluate_direct(inst, tuple(fronts[r].tolist()) + (s,))
+            feasible[r] = m.B >= target
+            wq_lo[r] = wq_hi[r] = exact[r] = m.Wq
         reach = wq_hi[feasible]
         if not reach.size:
             continue
@@ -143,7 +143,7 @@ def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, f
         bound = min(best_wq, float(reach.min()))
         for r in np.flatnonzero(feasible & ~(wq_lo > bound)).tolist():
             pol = tuple(fronts[r].tolist()) + (s,)
-            wq_r = exact[r] if r in exact else _direct_b_wq(inst, pol)[1]
+            wq_r = exact[r] if r in exact else evaluate_direct(inst, pol).Wq
             if wq_r < best_wq:
                 best, best_wq = pol, wq_r
     if best is None:

@@ -6,9 +6,10 @@ import time
 from types import SimpleNamespace
 
 from conftest import DESK_SPEC, EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
-from switchq import heuristic
+from switchq import core, heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
-from switchq.core import EPS_B, _ModeWorkspace, max_backroom_policy, min_wait_policy
+from switchq.core import (EPS_B, _ModeWorkspace, _new_workspace, _Workspace, max_backroom_policy,
+                          min_wait_policy)
 from switchq.heuristic import type1_eligible, type2_eligible
 
 # every policy the walk evaluates on EXAMPLE, in order, with its move label
@@ -180,8 +181,8 @@ def _reference_p1(inst: Instance, eps_b: float = 1e-9, improve_eps: float = 1e-1
 
 
 def test_walk_matches_one_at_a_time_reference():
-    # run_p1 resumes each repair scan at j2 - 1 and evaluates through the
-    # thread's workspace; the walk, its values and its answer must be those
+    # run_p1 resumes each repair scan at j2 - 1 and evaluates through a
+    # workspace of its own; the walk, its values and its answer must be those
     # of the plain loop that rescans from 0 and calls evaluate_b_wq
     rng = random.Random(19)
     insts = generate(TALL_SPEC)[:4] + [random_instance(rng, 2, 60) for _ in range(60)]
@@ -207,6 +208,19 @@ def test_wide_walk_matches_fresh_workspaces():
     assert res.steps == len(res.trace) == 3451
     for st in res.trace:
         assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
+
+
+def test_walk_owns_its_workspace():
+    # a walk builds its own workspace, so its moved hints hold whatever else
+    # drives evaluate_b_wq's per-thread workspaces, which it leaves alone
+    wide = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
+    assert type(_new_workspace(EXAMPLE)) is _Workspace
+    assert type(_new_workspace(wide)) is _ModeWorkspace
+    core._workspace.cache_clear()
+    for inst in (EXAMPLE, wide):
+        for trace in (False, True):
+            assert run_p1(inst, trace=trace).steps > 10
+            assert core._workspace.cache_info().currsize == 0, (inst, trace)
 
 
 # SHA-256 over every step of the traced walks on each suite, one line per

@@ -9,7 +9,7 @@ from conftest import EXAMPLE, OPT_POLICY, WQ_OPT, random_instance, random_policy
 from switchq import (ENUMERATION_LIMIT, Instance, brute_force_optimum,
                      evaluate_direct, is_feasible, iter_policies,
                      max_backroom_policy, min_wait_policy, policy_count)
-from switchq.core import EPS_B, _direct_b_wq, validate_policy
+from switchq.core import EPS_B, validate_policy
 
 
 def test_policy_count_matches_enumeration():
@@ -68,20 +68,20 @@ def test_brute_force_refuses_huge_spaces():
 
 
 def _scalar_brute_force(inst, eps_b=EPS_B):
-    """The one-policy-at-a-time judge: the direct recursion on every policy
-    in lexicographic order, keeping strict improvements only."""
+    """The one-policy-at-a-time judge: the direct oracle on every policy in
+    lexicographic order, keeping strict improvements only."""
     target = inst.Bl - eps_b
     best, best_wq = None, math.inf
     for pol in iter_policies(inst):
-        b, wq = _direct_b_wq(inst, pol)
-        if b >= target and wq < best_wq:
-            best, best_wq = pol, wq
+        m = evaluate_direct(inst, pol)
+        if m.B >= target and m.Wq < best_wq:
+            best, best_wq = pol, m.Wq
     return None if best is None else (best, best_wq)
 
 
 def _knife_edge(rng, inst):
-    """The instance with Bl set to the direct recursion's B of a random policy."""
-    b, _ = _direct_b_wq(inst, random_policy(rng, inst))
+    """The instance with Bl set to the direct oracle's B of a random policy."""
+    b = evaluate_direct(inst, random_policy(rng, inst)).B
     return Instance(S=inst.S, N=inst.N, lam=inst.lam, mu=inst.mu, Bl=b)
 
 
@@ -102,6 +102,18 @@ def test_brute_force_matches_scalar_reference():
     wide = Instance(S=1000, N=1, lam=1.9, mu=1.0, Bl=0.1)
     assert wide.S * math.log(wide.lam / wide.mu) > 600
     cases += [(wide, EPS_B), (_knife_edge(rng, wide), 0.0)]
+    # heavy blocking: lam at 8-40 times N * mu, so most arrivals find S full;
+    # each with a target below the all-late policy's B and a knife edge
+    heavy = []
+    for _ in range(40):
+        s = rng.randint(3, 12)
+        n = rng.randint(1, s)
+        mu = rng.uniform(0.2, 60.0)
+        inst = Instance(S=s, N=n, lam=rng.uniform(8.0, 40.0) * n * mu, mu=mu, Bl=0.0)
+        top = evaluate_direct(inst, max_backroom_policy(inst)).B
+        heavy += [(Instance(S=s, N=n, lam=inst.lam, mu=mu, Bl=rng.uniform(0.0, top)), EPS_B),
+                  (_knife_edge(rng, inst), 0.0)]
+    cases += heavy
     feasible = 0
     for inst, eps_b in cases:
         want = _scalar_brute_force(inst, eps_b)
@@ -111,3 +123,6 @@ def test_brute_force_matches_scalar_reference():
             feasible += 1
             assert all(type(v) is int for v in got[0]) and type(got[1]) is float
     assert feasible > len(cases) // 2
+    blocked = [evaluate_direct(inst, brute_force_optimum(inst, eps_b=eps_b)[0]).pBlock
+               for inst, eps_b in heavy]
+    assert min(blocked) > 0.5 and max(blocked) > 0.9, (min(blocked), max(blocked))

@@ -728,8 +728,9 @@ def test_hybrid_seeds_the_heuristic_result():
 
 def test_hybrid_walk_matches_a_standalone_walk(monkeypatch, desk_suite):
     # solve evaluates the all-late policy, where the walk starts, through its
-    # memo, and the walk goes straight to the buffers; its hinted calls must
-    # still find them at its previous policy, step after step
+    # memo and the thread's workspace, and the walk through a workspace it
+    # builds for itself; its hinted calls must find that one at its previous
+    # policy, step after step, whatever the solve's probes did before
     walks = []
 
     def recording(inst, deadline=None):
