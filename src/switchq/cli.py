@@ -100,6 +100,8 @@ def run_suite(instances, methods, time_limit, workers: int = 1
     for m in methods:
         if m not in BENCH_METHODS:
             raise ValueError(f"unknown method {m!r}; pick from {BENCH_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods must not repeat, got {', '.join(methods)}")
     tasks = [(idx, inst, m, time_limit)
              for idx, inst in enumerate(instances) for m in methods]
     if workers > 1:
@@ -345,6 +347,9 @@ def _cmd_bench(args) -> int:
             if args.checkpoints else DEFAULT_CHECKPOINTS
     except ValueError:
         raise _CliError(f"bad checkpoint list {args.checkpoints!r}") from None
+    if not all(t >= 0.0 for t in checkpoints):  # NaN fails this too
+        raise _CliError(f"checkpoints must be nonnegative numbers of seconds, "
+                        f"got {args.checkpoints!r}")
     try:
         records, traces = run_suite(insts, methods, args.time_limit, args.workers)
     except ValueError as exc:

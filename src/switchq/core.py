@@ -204,7 +204,7 @@ class _Workspace:
     exactly one switching point by one step since its own previous call here,
     which holds when it alone drives the workspace, may pass that point's
     index as ``moved``: that goes straight to the one-entry patch and skips
-    the search for the moved points.
+    the scans for the first and last moved points.
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -236,12 +236,11 @@ class _Workspace:
         above a state past max(old k_l, new k_l).  So an unhinted call
         rewrites just the states in between, taking each ratio from pol's
         segments; a +-1 move is a one-state range, a repeat of the previous
-        policy rewrites nothing, and a fresh workspace fills (k_0, S].  l is
-        the last index when that point moved, f when the tails after f
-        agree, and otherwise found by a window of C-level tuple compares that
-        doubles from the end and then halves, so a long unmoved tail costs no
-        Python-level scan.  Short ranges are written state by state through
-        the memoryview; past _LONG_RUN states, one np.repeat over the segment
+        policy rewrites nothing, and a fresh workspace fills (k_0, S].  f and
+        l are found by plain scans, forward from k_0 and backward from
+        k_{N-1}; the backward scan stops at f at the latest, since something
+        moved.  Short ranges are written state by state through the
+        memoryview; past _LONG_RUN states, one np.repeat over the segment
         lengths is cheaper.
         """
         last = self.last
@@ -263,22 +262,8 @@ class _Workspace:
             except IndexError:  # the scan passed k_N = S: nothing moved
                 return
             l = self.n - 1
-            if pol[l] == last[l]:
-                if pol[f + 1:] == last[f + 1:]:
-                    l = f
-                else:
-                    # the tails from hi on agree; l lies in [hi - w, hi)
-                    hi, w = l, 1
-                    while pol[hi - w:hi] == last[hi - w:hi]:
-                        hi -= w
-                        w = 2 * w if 2 * w < hi - f else hi - f
-                    l = hi - w
-                    while hi - l > 1:
-                        mid = (l + hi) // 2
-                        if pol[mid:hi] == last[mid:hi]:
-                            hi = mid
-                        else:
-                            l = mid
+            while pol[l] == last[l]:  # stops at f at the latest
+                l -= 1
             # states t + 1..end change; t + 1 lies on segment i and end on
             # segment j of pol, segment i being (k_i, k_{i+1}]
             if f == 0 or pol[f] < last[f]:

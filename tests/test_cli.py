@@ -166,7 +166,9 @@ def test_usage_errors_exit_one(example_file, capsys):
 
 
 @pytest.mark.parametrize("bad", (["--time-limit", "nan"], ["--time-limit", "-1"],
-                                 ["--workers", "0"]))
+                                 ["--workers", "0"], ["--checkpoints", "nan"],
+                                 ["--checkpoints", "-1"], ["--checkpoints", "1,nan"],
+                                 ["--methods", "p1,p1"], ["--methods", "p1,none,p1"]))
 def test_bad_limits_exit_one(example_file, tmp_path, capsys, bad):
     out_csv = tmp_path / "x.csv"
     if bad[0] == "--time-limit":
@@ -176,7 +178,9 @@ def test_bad_limits_exit_one(example_file, tmp_path, capsys, bad):
     argv = ["bench", "--instance-file", example_file, "--methods", "p1",
             "--time-limit", "1", "--out-csv", str(out_csv)] + bad
     assert main(argv) == 1
-    assert bad[0][2:].replace("-", " ") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert bad[0][2:].replace("-", " ") in err
     assert not out_csv.exists()
 
 
@@ -229,6 +233,9 @@ def test_run_suite_rejects_bad_limits():
             run_suite([EXAMPLE], ["p1"], limit)
     with pytest.raises(ValueError, match="workers"):
         run_suite([EXAMPLE], ["p1"], 1.0, workers=0)
+    for methods in (["p1", "p1"], ["p1", "none", "p1"]):
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            run_suite([EXAMPLE], methods, 1.0)
 
 
 def test_best_known_table_is_a_lower_envelope(small_file):
@@ -304,7 +311,7 @@ def test_bench_command_end_to_end(small_file, tmp_path, capsys):
     rc = main(["bench", "--instance-file", small_file,
                "--methods", "p1,none,alt-search-shave,hybrid",
                "--time-limit", "30", "--out-csv", str(out_csv),
-               "--checkpoints", "0.5,2"])
+               "--checkpoints", "0.5,2,inf"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out_csv.exists() and trace_path(out_csv).exists()
@@ -315,7 +322,7 @@ def test_bench_command_end_to_end(small_file, tmp_path, capsys):
     for r in records:
         if r.method != "p1":
             assert r.status == "optimal" and r.proof
-    assert "mre@0.5s" in out and "mre@2s" in out
+    assert "mre@0.5s" in out and "mre@2s" in out and "mre@infs" in out
     # with everything solved to optimality the error column is numerically zero
     for line in out.splitlines():
         if line.startswith(("p1", "none", "alt", "hybrid")):

@@ -341,6 +341,9 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
     (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), _Workspace),
     (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), _ModeWorkspace),  # mode at S
     (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),   # mode 8 < N
+    # long unmoved tails for the backward scan for the last moved point
+    (Instance(S=130, N=100, lam=100.0, mu=1.0, Bl=0.0), _Workspace),
+    (Instance(S=160, N=100, lam=150.0, mu=1.0, Bl=0.0), _ModeWorkspace),
 ])
 def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     # one workspace driven through repeats, patches and bounded rewrites
