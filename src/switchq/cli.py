@@ -9,7 +9,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .core import (Instance, evaluate_b_wq, evaluate_closed_form, evaluate_direct,
@@ -26,10 +26,6 @@ EXIT_INFEASIBLE = 2
 DEFAULT_CHECKPOINTS = (1.0, 5.0, 10.0, 50.0, 150.0, 500.0)
 BENCH_METHODS = ("p1",) + STRATEGIES + ("hybrid",)
 BRUTE_SUBSTITUTION_LIMIT = 100_000
-
-RECORD_FIELDS = ("instance_id", "method", "status", "wq", "proof",
-                 "elapsed_s", "nodes", "evals")
-TRACE_FIELDS = ("instance_id", "method", "t_s", "wq")
 
 
 class _CliError(Exception):
@@ -104,6 +100,8 @@ def run_suite(instances, methods, time_limit, workers: int = 1
         raise ValueError(f"methods must not repeat, got {', '.join(methods)}")
     tasks = [(idx, inst, m, time_limit)
              for idx, inst in enumerate(instances) for m in methods]
+    # a pool starts all its workers at once, so never more than there are tasks
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_pair, tasks))
@@ -180,14 +178,17 @@ def mre_curve(instances, methods, traces, best, checkpoints
 # CSV round trip
 
 
-def write_records(path, records) -> None:
+def _write_rows(path, cls, rows) -> None:
+    """One header of cls's field names, then one line per dataclass row;
+    csv writes floats by repr and None as an empty cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RECORD_FIELDS)
-        for r in records:
-            w.writerow([r.instance_id, r.method, r.status,
-                        "" if r.wq is None else repr(r.wq), r.proof,
-                        repr(r.elapsed_s), r.nodes, r.evals])
+        w.writerow(f.name for f in fields(cls))
+        w.writerows(map(astuple, rows))
+
+
+def write_records(path, records) -> None:
+    _write_rows(path, SuiteRecord, records)
 
 
 def read_records(path) -> list[SuiteRecord]:
@@ -204,11 +205,7 @@ def read_records(path) -> list[SuiteRecord]:
 
 
 def write_trace_points(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_FIELDS)
-        for p in points:
-            w.writerow([p.instance_id, p.method, repr(p.t_s), repr(p.wq)])
+    _write_rows(path, TracePoint, points)
 
 
 def read_trace_points(path) -> list[TracePoint]:
@@ -344,9 +341,9 @@ def _cmd_bench(args) -> int:
         raise _CliError("no methods given")
     try:
         checkpoints = tuple(float(part) for part in args.checkpoints.split(",")) \
-            if args.checkpoints else DEFAULT_CHECKPOINTS
+            if args.checkpoints is not None else DEFAULT_CHECKPOINTS
     except ValueError:
-        raise _CliError(f"bad checkpoint list {args.checkpoints!r}") from None
+        raise _CliError(f"bad checkpoints list {args.checkpoints!r}") from None
     if not all(t >= 0.0 for t in checkpoints):  # NaN fails this too
         raise _CliError(f"checkpoints must be nonnegative numbers of seconds, "
                         f"got {args.checkpoints!r}")

@@ -457,13 +457,15 @@ def evaluate_closed_form(inst: Instance, pol: Policy) -> Metrics:
 
 
 def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
-    """B and Wq only; the fast path for search and heuristics.
+    """B and Wq only, for trusted policies.
 
-    Runs the balance recursion as cumulative products over reusable buffers
-    that belong to the instance and the calling thread.  The product starts
-    at k_0, or, when S * ln(lam/mu) is large enough that it could overflow
-    from there, at the mode of the distribution, so every instance stays on
-    this route.  Skips validation and the distribution vector; callers pass
-    trusted policies.
+    Its callers are the solve's shave probes and two extreme policies,
+    through the solve's memo; search's improving leaves; ``generate``'s
+    screening; and ``bench``'s fallback wait.  Runs the balance recursion
+    as cumulative products over reusable buffers that belong to the
+    instance and the calling thread.  The product starts at k_0, or, when
+    S * ln(lam/mu) is large enough that it could overflow from there, at
+    the mode of the distribution, so every instance stays on this route.
+    Skips validation and the distribution vector.
     """
     return _workspace(inst, get_ident()).b_wq(pol)

@@ -368,27 +368,27 @@ def alternating_shave(inst: Instance, store: DomainStore, inc: Incumbent,
 # depth-first search on carried closed-form corners
 
 
-_ROOT = (0.0, 1.0, 0.0, 0.0)  # the carried empty prefix, before k_0
+_ROOT = (1.0, 0.0, 0.0)  # the carried empty prefix, before k_0
 _EMPTY = (1.0, 0.0, 0.0, 1.0)  # the completion past k_N = S: nothing more
 
 
 def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
     """Extends segment d's row of scaled geometric sums to ``size`` entries.
 
-    Entry L describes the states (a, a + L] that segment d adds after a
-    switching point at a, where r = lam / (d mu): P is q(a + L) / q(a), G1
-    the mass and G2 the first moment about a of those states over q(a), all
-    times e^-D with D = max(0, L ln r); S = e^-D scales what came before,
-    and D is the entry's last field.  So a rising segment has P = 1 and
-    sums of r^-j, a falling one has D = 0 and sums of r^j, and no entry
-    leaves float range however wide the instance.  The sums run on from
-    the row's last entry over powers taken from exp, so a row extended in
-    steps holds the entries one built at once would.  Row 0 places k_0
-    itself: a virtual point at -1, then one state of weight one at -1 + L.
+    Entry L, (P, S, G1, G2), describes the states (a, a + L] that segment d
+    adds after a switching point at a, where r = lam / (d mu): P is
+    q(a + L) / q(a), G1 the mass and G2 the first moment about a of those
+    states over q(a), all times e^-D with D = max(0, L ln r); S = e^-D
+    scales what came before.  So a rising segment has P = 1 and sums of
+    r^-j, a falling one has S = 1 and sums of r^j, and no entry leaves
+    float range however wide the instance.  The sums run on from the row's
+    last entry over powers taken from exp, so a row extended in steps holds
+    the entries one built at once would.  Row 0 places k_0 itself: a
+    virtual point at -1, then one state of weight one at -1 + L.
     """
     start = len(row)
     if d == 0:
-        row.extend((1.0, 0.0, 1.0, float(L), 0.0) for L in range(start, size))
+        row.extend((1.0, 0.0, 1.0, float(L)) for L in range(start, size))
         return
     r = inst.lam / (d * inst.mu)
     lr = math.log(r)
@@ -403,7 +403,7 @@ def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
         for L in range(start, size):
             y = exp(neg * L)
             g2 += g1
-            row.append((1.0, y, g1, g2, lr * L))
+            row.append((1.0, y, g1, g2))
             g1 += y
     else:
         for L in range(start, size):
@@ -411,28 +411,29 @@ def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
             if L:
                 g1 += y
                 g2 += L * y
-            row.append((y, 1.0, g1, g2, 0.0))
+            row.append((y, 1.0, g1, g2))
 
 
 class _Corners:
     """The closed-form corners of one normalized box, for search.
 
-    A search prefix k_0..k_{d-1} is carried as (c, Q, M, W): q at its last
+    A search prefix k_0..k_{d-1} is carried as (Q, M, W): q at its last
     point, its mass and its first moment, relative to q(k_0) = 1 and divided
-    by e^c, the largest q so far, so that Q <= 1 <= M once it holds a point;
-    c is the prefix's log offset.  ``child`` extends a prefix by one
-    segment.  A corner is a prefix completed along the box: the completion
-    from k_{d-1} = a is (al, be, ga, si), so that the corner's mass, moment
-    and q(S) are M*al + Q*be, W*al + Q*ga and Q*si, up to a common factor,
-    and ``b_wq`` gives B and Wq from them.  ``upper`` completes along hi
-    (gmax); ``lower`` packs upward from a and then follows lo (gmin); from
-    k_{N-1}, both complete a leaf with segment N up to S.  A completion is
-    built on first use from the next point's (``complete``), so each costs
-    O(1) once per search, and so does every corner after it.
+    by the largest q so far, so that Q <= 1 <= M once it holds a point.
+    Only ratios of these reach B and Wq, so the scale itself is not kept.
+    ``child`` extends a prefix by one segment.  A corner is a prefix
+    completed along the box: the completion from k_{d-1} = a is
+    (al, be, ga, si), so that the corner's mass, moment and q(S) are
+    M*al + Q*be, W*al + Q*ga and Q*si, up to a common factor, and ``b_wq``
+    gives B and Wq from them.  ``upper`` completes along hi (gmax);
+    ``lower`` packs upward from a and then follows lo (gmin); from k_{N-1},
+    both complete a leaf with segment N up to S.  A completion is built on
+    first use from the next point's (``complete``), so each costs O(1) once
+    per search, and so does every corner after it.
 
     Segment rows start as long as the first segment asked for and at least
     double whenever a longer one is, so a search pays for the segments it
-    uses, not for the whole box.
+    uses, not for the whole box.  Only ``complete`` grows them.
     """
 
     __slots__ = ("n", "s", "lm", "lam", "inv_mu", "inst", "off", "lo_x", "hi_x", "seg",
@@ -455,26 +456,20 @@ class _Corners:
         self.upper = [None] * size
         self.lower = [None] * size
 
-    def segment(self, d: int, length: int) -> tuple:
-        """Entry ``length`` of segment d's row, extending the row to hold it."""
-        row = self.seg[d]
-        if length >= len(row):
-            _extend_segment(self.inst, d, row, min(max(length + 1, 2 * len(row)), self.s + 2))
-        return row[length]
-
     def child(self, parent: tuple, d: int, a: int, v: int) -> tuple:
-        """The carried prefix of parent, which ends with k_{d-1} = a, and k_d = v."""
-        try:
-            p, sc, g1, g2, lift = self.seg[d][v - a]
-        except IndexError:
-            p, sc, g1, g2, lift = self.segment(d, v - a)
-        c, q, m, w = parent
-        return c + lift, q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
+        """The carried prefix of parent, which ends with k_{d-1} = a, and k_d = v.
+
+        Row d already holds entry v - a: the parent's upward completion,
+        built before any child, reached k_d = hi[d] >= v.
+        """
+        p, sc, g1, g2 = self.seg[d][v - a]
+        q, m, w = parent
+        return q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
 
     def b_wq(self, prefix: tuple, completion: tuple) -> tuple[float, float]:
         """B and Wq of the corner that completion makes of prefix, by the
         workspace's flow-balance formulas."""
-        _, q, m, w = prefix
+        q, m, w = prefix
         al, be, ga, si = completion
         tot = m * al + q * be
         share = 1.0 - q * si / tot  # admitted, 1 - P(S)
@@ -498,10 +493,10 @@ class _Corners:
         else:
             got = _EMPTY
         for i, d, length, a in reversed(chain):
-            try:
-                p, sc, g1, g2, _ = seg[d][length]
-            except IndexError:
-                p, sc, g1, g2, _ = self.segment(d, length)
+            row = seg[d]
+            if length >= len(row):
+                _extend_segment(self.inst, d, row, min(max(length + 1, 2 * len(row)), self.s + 2))
+            p, sc, g1, g2 = row[length]
             al, be, ga, si = got
             got = rows[i] = (sc * al, g1 * al + p * be, (a * g1 + g2) * al + p * ga, p * si)
         return got

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import EXAMPLE, OPT_POLICY, WQ_OPT_CLOSED
 from switchq import (Instance, evaluate_b_wq, max_backroom_policy, min_wait_policy,
-                     write_instances)
+                     read_instances, write_instances)
+import switchq.cli as cli_mod
 from switchq.cli import (BENCH_METHODS, SuiteRecord, TracePoint,
                          best_known_table, incumbent_at, main, mre, mre_curve,
                          read_records, read_trace_points, run_suite, trace_path,
@@ -72,6 +73,11 @@ def test_heuristic_command(example_file, capsys):
 def test_heuristic_infeasible_exit_code(example_file, capsys):
     assert main(["heuristic", "--instance-file", example_file, "--index", "1"]) == 2
     assert "infeasible" in capsys.readouterr().out
+    # the suite runner records the same outcome: one evaluation, no incumbent
+    records, traces = run_suite(read_instances(example_file)[1:], ["p1"], 1.0)
+    assert [(r.status, r.wq, r.proof, r.evals) for r in records] == \
+        [("infeasible", None, False, 1)]
+    assert traces == []
 
 
 def test_solve_command(example_file, capsys):
@@ -168,6 +174,7 @@ def test_usage_errors_exit_one(example_file, capsys):
 @pytest.mark.parametrize("bad", (["--time-limit", "nan"], ["--time-limit", "-1"],
                                  ["--workers", "0"], ["--checkpoints", "nan"],
                                  ["--checkpoints", "-1"], ["--checkpoints", "1,nan"],
+                                 ["--checkpoints", ""],
                                  ["--methods", "p1,p1"], ["--methods", "p1,none,p1"]))
 def test_bad_limits_exit_one(example_file, tmp_path, capsys, bad):
     out_csv = tmp_path / "x.csv"
@@ -195,7 +202,6 @@ def test_help_exits_zero(capsys):
 
 
 def test_run_suite_shapes(small_file):
-    from switchq import read_instances
     insts = read_instances(small_file)
     records, traces = run_suite(insts, ("p1", "bl-shave"), 30.0)
     assert [(r.instance_id, r.method) for r in records] == \
@@ -208,14 +214,41 @@ def test_run_suite_shapes(small_file):
         run_suite(insts, ("warp",), 30.0)
 
 
-def test_run_suite_parallel_matches_serial(small_file):
-    from switchq import read_instances
+def test_run_suite_parallel_matches_serial(small_file, tmp_path, monkeypatch):
     insts = read_instances(small_file)
     serial, _ = run_suite(insts, ("p1", "alt-shave"), 30.0, workers=1)
     parallel, _ = run_suite(insts, ("p1", "alt-shave"), 30.0, workers=2)
     for a, b in zip(serial, parallel):
         assert (a.instance_id, a.method, a.status, a.wq, a.proof, a.nodes) == \
                (b.instance_id, b.method, b.status, b.wq, b.proof, b.nodes)
+    # a pool starts all its workers at once, so it is sized to the tasks;
+    # an in-process stand-in records the sizes asked for
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", Pool)
+    records, _ = run_suite(insts, ("p1", "alt-shave"), 30.0, workers=8)
+    assert [(r.instance_id, r.method, r.wq) for r in records] == \
+        [(r.instance_id, r.method, r.wq) for r in serial]
+    run_suite(insts[:1], ("p1",), 30.0, workers=3)
+    assert sizes == [4]
+    empty = tmp_path / "empty.txt"
+    write_instances(empty, [])
+    assert main(["bench", "--instance-file", str(empty), "--methods", "p1",
+                 "--time-limit", "1", "--out-csv", str(tmp_path / "e.csv"),
+                 "--workers", "2"]) == 0
+    assert sizes == [4] and read_records(tmp_path / "e.csv") == []
 
 
 def test_run_suite_p1_honours_the_time_limit():
@@ -239,7 +272,6 @@ def test_run_suite_rejects_bad_limits():
 
 
 def test_best_known_table_is_a_lower_envelope(small_file):
-    from switchq import read_instances
     insts = read_instances(small_file)
     records, _ = run_suite(insts, ("p1",), 30.0)
     one = best_known_table(insts, records)
@@ -337,7 +369,6 @@ def test_bench_rejects_empty_method_list(small_file, tmp_path):
 
 
 def test_infinite_wq_never_appears(small_file):
-    from switchq import read_instances
     insts = read_instances(small_file)
     records, _ = run_suite(insts, ("alt-shave",), 30.0)
     assert all(r.wq is not None and math.isfinite(r.wq) for r in records)

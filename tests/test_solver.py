@@ -1,5 +1,6 @@
 """Solver tests: domains, corner completions, probes, shaving, search, solve."""
 
+import itertools
 import math
 import random
 import threading
@@ -282,9 +283,11 @@ def test_segment_rows_extended_in_steps_match_one_built_at_once():
 
 
 def _carried(corners, head):
-    """The prefix search carries for head, and its last value."""
+    """The prefix search carries for head, and its last value; as in search,
+    each node's upward completion is built before its child."""
     prefix, a = _ROOT, -1
     for d, v in enumerate(head):
+        corners.complete(corners.upper, d, a)
         prefix, a = corners.child(prefix, d, a, v), v
     return prefix, a
 
@@ -292,8 +295,7 @@ def _carried(corners, head):
 def test_carried_corners_match_spliced_evaluations():
     # search's closed-form gmax, gmin and leaf corners give evaluate_b_wq's
     # B and Wq on the spliced tuples, in every regime, on random normalized
-    # boxes (shrunk ones too) and prefixes drawn the way search branches;
-    # a carried prefix's log offset plus log Q is its exact log q(k_{d-1})
+    # boxes (shrunk ones too) and prefixes drawn the way search branches
     rng = random.Random(89)
     draws = {"ordinary": lambda r: random_instance(r, 2, 40), "large": _large_instance,
              **{name: (lambda r, name=name: regime_instance(r, name)) for name in REGIMES},
@@ -315,11 +317,8 @@ def test_carried_corners_match_spliced_evaluations():
                     floor = head[-1] + 1 if head else 0
                     head += (rng.randint(max(store.lo[t], floor), store.hi[t]),)
                 prefix, a = _carried(corners, head)
-                c, q = prefix[:2]
                 exact = math.fsum((head[i] - head[i - 1]) * lrs[i - 1] for i in range(1, len(head)))
-                if q > 0.0:
-                    assert abs(c + math.log(q) - exact) <= 1e-9 * max(1.0, abs(exact)), (inst, head)
-                widest = max(widest, c)
+                widest = max(widest, exact)
                 d = len(head)
                 pairs = [(corners.upper, gmax)] + [(corners.lower, gmin)] * (d < inst.N)
                 for rows, corner in pairs:
@@ -329,7 +328,7 @@ def test_carried_corners_match_spliced_evaluations():
                         (name, inst, store.lo, store.hi, head, got, want)
                     checked[name] += 1
     assert min(checked.values()) > 20, checked
-    # wide prefixes carry q past float range, e^709
+    # prefixes whose exact q runs past float range, e^709
     assert widest > 1000.0, widest
 
 
@@ -393,6 +392,10 @@ def test_probe_proof_on_infeasible_singleton():
     stats = SearchStats()
     inc = Incumbent()
     assert bl_gmax_probe(HARD, store, 0, inc, stats) == "proof"
+    # and the mirror case: a feasible top value that cannot go proves its
+    # completion, now the incumbent, optimal
+    assert bl_gmin_probe(EASY, store, 0, inc, stats) == "proof"
+    assert inc.policy == (3, 4, 5, 6) and store.hi == [3, 4, 5]
 
 
 def test_wait_probe_proof_when_nothing_can_improve():
@@ -653,14 +656,9 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
     matrix = [(regime, regime_instance(rng, regime)) for regime in REGIMES for _ in range(3)]
     cfgs = [SolverConfig(strategy=s, hybrid=h, time_limit=None)
             for s in STRATEGIES for h in (False, True)]
-    offsets, rows = {}, {}  # per instance: largest log offset; {d: row size} built
+    rows = {}  # per instance: {d: row size} built
     unbounded = []  # corners whose B or Wq is not finite
-    child, b_wq, extend = _Corners.child, _Corners.b_wq, solver_mod._extend_segment
-
-    def recording_child(self, parent, d, a, v):
-        out = child(self, parent, d, a, v)
-        offsets[self.inst] = max(offsets.get(self.inst, 0.0), out[0])
-        return out
+    b_wq, extend = _Corners.b_wq, solver_mod._extend_segment
 
     def recording_b_wq(self, prefix, completion):
         out = b_wq(self, prefix, completion)
@@ -673,7 +671,6 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
         built[d] = max(built.get(d, 0), size)
         extend(inst, d, row, size)
 
-    monkeypatch.setattr(_Corners, "child", recording_child)
     monkeypatch.setattr(_Corners, "b_wq", recording_b_wq)
     monkeypatch.setattr(solver_mod, "_extend_segment", recording_row)
     serial = []
@@ -690,8 +687,10 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
         lrs = [math.log(inst.lam / (i * inst.mu)) for i in range(1, inst.N + 1)]
         if regime == "wide":
             assert isinstance(_workspace(inst, threading.get_ident()), _ModeWorkspace)
-            # search carried q past float range, e^709, in its log offsets
-            assert offsets[inst] > 709.0, (inst, offsets[inst])
+            # the optimum's q runs past float range, e^709, on the way to S
+            peak = max(itertools.accumulate(
+                (found[0][i] - found[0][i - 1]) * lrs[i - 1] for i in range(1, inst.N + 1)))
+            assert peak > 709.0, (inst, peak)
         elif regime == "near-one":
             # a segment whose ratio is within 1e-3 of one is summed
             assert {i for i, lr in enumerate(lrs, 1) if abs(lr) < 1e-3} & set(rows[inst]), inst
