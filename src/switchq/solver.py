@@ -14,6 +14,9 @@ evaluates it with ``evaluate_b_wq`` through the solve's memo.  Search keeps
 the box fixed and extends one prefix at a time, so it carries each prefix's
 mass and first moment in closed form and completes it from tables of
 geometric sums: every corner and leaf then costs O(1), whatever S and N are.
+``_Corners`` holds those tables; the arithmetic that extends a prefix and
+gives a corner's B and Wq is written out in ``search``'s node loop, so a
+node calls nothing but the clock, save a table miss or a feasible leaf.
 Only a leaf that improves the incumbent goes to ``evaluate_b_wq`` as well,
 so the incumbent's Wq is the evaluator's whichever way it was found.
 """
@@ -164,11 +167,6 @@ def check_time_limit(time_limit: float | None) -> None:
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be None or a nonnegative number of seconds, "
                          f"got {time_limit!r}")
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.perf_counter() > deadline:
-        raise SolveTimeout
 
 
 def _eval(inst: Instance, pol: Policy, stats: SearchStats) -> tuple[float, float]:
@@ -328,7 +326,8 @@ def _shave(probes, inst: Instance, store: DomainStore, inc: Incumbent,
                 return "proof"
             for probe in probes:
                 while True:
-                    _check_deadline(deadline)
+                    if deadline is not None and time.perf_counter() > deadline:
+                        raise SolveTimeout
                     out = probe(inst, store, i, inc, stats)
                     if out == "proof":
                         return "proof"
@@ -415,34 +414,33 @@ def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
 
 
 class _Corners:
-    """The closed-form corners of one normalized box, for search.
+    """The closed-form corner tables of one normalized box, for search.
 
     A search prefix k_0..k_{d-1} is carried as (Q, M, W): q at its last
     point, its mass and its first moment, relative to q(k_0) = 1 and divided
     by the largest q so far, so that Q <= 1 <= M once it holds a point.
     Only ratios of these reach B and Wq, so the scale itself is not kept.
-    ``child`` extends a prefix by one segment.  A corner is a prefix
-    completed along the box: the completion from k_{d-1} = a is
-    (al, be, ga, si), so that the corner's mass, moment and q(S) are
-    M*al + Q*be, W*al + Q*ga and Q*si, up to a common factor, and ``b_wq``
-    gives B and Wq from them.  ``upper`` completes along hi (gmax);
-    ``lower`` packs upward from a and then follows lo (gmin); from k_{N-1},
-    both complete a leaf with segment N up to S.  A completion is built on
-    first use from the next point's (``complete``), so each costs O(1) once
-    per search, and so does every corner after it.
+    A child with k_d = v extends a prefix ending at k_{d-1} = a by entry
+    v - a of segment row d.  A corner is a prefix completed along the box:
+    the completion from k_{d-1} = a is (al, be, ga, si), so that the
+    corner's mass, moment and q(S) are M*al + Q*be, W*al + Q*ga and Q*si,
+    up to a common factor, from which the workspace's flow-balance formulas
+    give B and Wq.  ``search`` does both steps inline.  ``upper`` completes
+    along hi (gmax); ``lower`` packs upward from a and then follows lo
+    (gmin); from k_{N-1}, both complete a leaf with segment N up to S.  A
+    completion is built on first use from the next point's (``complete``),
+    so each costs O(1) once per search, and so does every corner after it.
 
     Segment rows start as long as the first segment asked for and at least
     double whenever a longer one is, so a search pays for the segments it
     uses, not for the whole box.  Only ``complete`` grows them.
     """
 
-    __slots__ = ("n", "s", "lm", "lam", "inv_mu", "inst", "off", "lo_x", "hi_x", "seg",
-                 "upper", "lower")
+    __slots__ = ("n", "s", "inst", "off", "lo_x", "hi_x", "seg", "upper", "lower")
 
     def __init__(self, inst: Instance, store: DomainStore):
         n, s = inst.N, inst.S
         self.n, self.s, self.inst = n, s, inst
-        self.lm, self.lam, self.inv_mu = inst.lam / inst.mu, inst.lam, 1.0 / inst.mu
         self.lo_x = store.lo + [s]  # bounds of k_d, with k_N = S
         self.hi_x = store.hi + [s]
         self.seg = [[] for _ in range(n + 1)]
@@ -455,26 +453,6 @@ class _Corners:
             size += hi - lo + 1
         self.upper = [None] * size
         self.lower = [None] * size
-
-    def child(self, parent: tuple, d: int, a: int, v: int) -> tuple:
-        """The carried prefix of parent, which ends with k_{d-1} = a, and k_d = v.
-
-        Row d already holds entry v - a: the parent's upward completion,
-        built before any child, reached k_d = hi[d] >= v.
-        """
-        p, sc, g1, g2 = self.seg[d][v - a]
-        q, m, w = parent
-        return q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
-
-    def b_wq(self, prefix: tuple, completion: tuple) -> tuple[float, float]:
-        """B and Wq of the corner that completion makes of prefix, by the
-        workspace's flow-balance formulas."""
-        q, m, w = prefix
-        al, be, ga, si = completion
-        tot = m * al + q * be
-        share = 1.0 - q * si / tot  # admitted, 1 - P(S)
-        wq = (w * al + q * ga) / tot / (self.lam * share) - self.inv_mu if share > 0.0 else math.inf
-        return self.n - self.lm * share, wq
 
     def complete(self, rows: list, d: int, a: int) -> tuple:
         """The completion from k_{d-1} = a that rows (upper or lower) hold,
@@ -513,56 +491,84 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     a feasible leaf.  A leaf whose carried Wq would improve the incumbent is
     evaluated once more, uncounted, by ``evaluate_b_wq``, and the incumbent
     takes that answer, so a result's Wq is the evaluator's for its policy.
-    Counts every visited node in stats.  Raises SolveTimeout at the
-    deadline, and _Improved instead of continuing when restart_on_improve is
-    set and the incumbent improves.
+    Adds the visited nodes and evaluations to stats on every exit.  Raises
+    SolveTimeout at the deadline, and _Improved instead of continuing when
+    restart_on_improve is set and the incumbent improves.
     """
     if store.failed:
         return
     n, s = inst.N, inst.S
     lo, hi = store.lo, store.hi
     target = inst.Bl - EPS_B
+    lam, lm, inv_mu = inst.lam, inst.lam / inst.mu, 1.0 / inst.mu
     corners = _Corners(inst, store)
-    upper, lower, off = corners.upper, corners.lower, corners.off
-    complete, child, b_wq = corners.complete, corners.child, corners.b_wq
+    upper, lower, off, seg, complete = (corners.upper, corners.lower, corners.off, corners.seg,
+                                        corners.complete)
+    perf_counter = time.perf_counter
+    best = inc.wq - EPS_WQ  # re-read after each consider, the one writer of inc.wq
 
-    # an explicit stack, one (depth, k_{d-1}, carried prefix, remaining child
-    # values) entry per open node, so that depth (up to N) never meets the
-    # interpreter's recursion limit; nodes are visited in the order of a
-    # recursive descent.  ks holds the values on the current path.
-    stack: list = []
+    # The node to visit is (d, a, q, m, w): its depth, k_{d-1} and carried
+    # prefix.  The open node, whose children are being visited, is (od, oa,
+    # oq, om, ow) with its next child value v, its last one top and its
+    # segment row; path[t] holds the open ancestor at depth t, so depth (up
+    # to N) never meets the interpreter's recursion limit.  Nodes are
+    # visited in the order of a recursive descent; ks holds the values on
+    # the current path.
     ks = [0] * n
-    d, a, prefix = 0, -1, _ROOT
-    while True:
-        _check_deadline(deadline)
-        stats.nodes += 1
-        i = a + off[d]
-        stats.evaluations += 1
-        b, wq = b_wq(prefix, upper[i] or complete(upper, d, a))
-        if d == n:
-            if b >= target:
-                pol = (*ks, s)
-                if wq < inc.wq - EPS_WQ:
-                    # an improvement keeps the evaluator's (B, Wq) for its
-                    # policy, not the carried one; improvements are rare
-                    b, wq = evaluate_b_wq(inst, pol)
-                if b >= target and inc.consider(pol, wq) and restart_on_improve:
-                    raise _Improved
-        elif b >= target:
-            stats.evaluations += 1
-            if b_wq(prefix, lower[i] or complete(lower, d, a))[1] < inc.wq - EPS_WQ:
-                stack.append((d, a, prefix, iter(range(max(lo[d], a + 1), hi[d] + 1))))
-        while stack:
-            pd, pa, parent, values = stack[-1]
-            v = next(values, None)
-            if v is not None:
-                prefix = child(parent, pd, pa, v)
-                ks[pd] = v
-                d, a = pd + 1, v
-                break
-            stack.pop()
-        else:
-            return
+    path = [None] * n
+    d, a = 0, -1
+    q, m, w = _ROOT
+    od, v, top = -1, 0, -1  # nothing open yet
+    nodes = evaluations = 0
+    try:
+        while True:
+            if deadline is not None and perf_counter() > deadline:
+                raise SolveTimeout
+            nodes += 1
+            evaluations += 1
+            i = a + off[d]
+            al, be, ga, si = upper[i] or complete(upper, d, a)
+            tot = m * al + q * be
+            share = 1.0 - q * si / tot  # admitted, 1 - P(S)
+            b = n - lm * share
+            if d == n:
+                if b >= target:
+                    wq = (w * al + q * ga) / tot / (lam * share) - inv_mu if share > 0.0 \
+                        else math.inf
+                    pol = (*ks, s)
+                    if wq < best:
+                        # an improvement keeps the evaluator's (B, Wq) for its
+                        # policy, not the carried one; improvements are rare
+                        b, wq = evaluate_b_wq(inst, pol)
+                    improved = b >= target and inc.consider(pol, wq)
+                    best = inc.wq - EPS_WQ
+                    if improved and restart_on_improve:
+                        raise _Improved
+            elif b >= target:
+                evaluations += 1
+                al, be, ga, si = lower[i] or complete(lower, d, a)
+                tot = m * al + q * be
+                share = 1.0 - q * si / tot
+                if share > 0.0 and (w * al + q * ga) / tot / (lam * share) - inv_mu < best:
+                    if od >= 0:
+                        path[od] = (oa, oq, om, ow, v, top, row)
+                    od, oa, oq, om, ow = d, a, q, m, w
+                    v, top, row = a + 1 if a >= lo[d] else lo[d], hi[d], seg[d]
+            while v > top:
+                if od <= 0:
+                    return
+                od -= 1
+                oa, oq, om, ow, v, top, row = path[od]
+            # the open node's next child: row od already holds entry v - oa,
+            # as the open node's upward completion reached k_od = hi[od]
+            p, sc, g1, g2 = row[v - oa]
+            d, a = od + 1, v
+            q, m, w = oq * p, om * sc + oq * g1, ow * sc + oq * (oa * g1 + g2)
+            ks[od] = v
+            v += 1
+    finally:
+        stats.nodes += nodes
+        stats.evaluations += evaluations
 
 
 # ---------------------------------------------------------------------------

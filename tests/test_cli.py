@@ -12,7 +12,7 @@ from switchq.cli import (BENCH_METHODS, SuiteRecord, TracePoint,
                          best_known_table, incumbent_at, main, mre, mre_curve,
                          read_records, read_trace_points, run_suite, trace_path,
                          write_records, write_trace_points)
-from switchq.solver import _Corners
+from switchq.solver import Incumbent
 
 
 @pytest.fixture()
@@ -103,20 +103,22 @@ def test_solve_deep_search_times_out_cleanly(monkeypatch, tmp_path, capsys):
           + evaluate_b_wq(base, min_wait_policy(base))[0]) / 2
     path = tmp_path / "deep.txt"
     write_instances(path, [Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=bl)])
-    depth = [0]
-    child = _Corners.child
+    extremes = {max_backroom_policy(base), min_wait_policy(base)}
+    offered = []
+    consider = Incumbent.consider
 
-    def deepest(self, parent, d, a, v):
-        depth[0] = max(depth[0], d + 1)
-        return child(self, parent, d, a, v)
+    def recording(self, pol, wq):
+        offered.append(pol)
+        return consider(self, pol, wq)
 
-    monkeypatch.setattr(_Corners, "child", deepest)
+    monkeypatch.setattr(Incumbent, "consider", recording)
     rc = main(["solve", "--instance-file", str(path), "--index", "0",
                "--strategy", "none", "--time-limit", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "status timeout-with-incumbent" in out and "proof no" in out
-    assert depth[0] > 1000
+    # search reached a leaf of its own, at depth 1200: 1201 entries with k_N
+    assert any(len(pol) == 1201 for pol in set(offered) - extremes)
 
 
 def test_brute_command(example_file, capsys):
