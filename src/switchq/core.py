@@ -170,7 +170,7 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
         p[t] = q[t] / tot
     f = math.fsum(i * p[j] for i in range(1, n + 1) for j in range(pol[i - 1] + 1, pol[i] + 1))
     big_l = math.fsum(t * p[t] for t in range(k0, s + 1))
-    admitted = lam * (1.0 - p[s])
+    admitted = lam * math.fsum(p[k0:s]) if p[s] < 1.0 else 0.0
     wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
     return Metrics(p=p, F=f, B=n - f, L=big_l, Wq=wq, pBlock=p[s])
 

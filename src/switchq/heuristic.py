@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 from .core import EPS_B, Instance, Policy, _new_workspace, max_backroom_policy, validate_instance
 
+# not the solver's EPS_WQ (1e-9), which guards prunes and proofs: with it,
+# 481 of 1,939 measured walks ended on another policy, up to 1e-9 worse in Wq
 IMPROVE_EPS = 1e-12
 
 

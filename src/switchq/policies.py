@@ -73,8 +73,8 @@ def _screen(inst: Instance, fronts: np.ndarray, down: np.ndarray,
     relative to state S is the sum over u = j..S-1 of
     down[level[u]] = log(level[u] * mu / lam); down[0] is -inf, so every
     state below k_0 comes out at -inf and gets weight zero.  Wq's error grows
-    as 1 / (1 - P(S)), since both routes form the admitted rate as
-    lam * (1 - P(S)).
+    as 1 / (1 - P(S)), since the screen, unlike the recursion, forms the
+    admitted rate as lam * (1 - P(S)); the bound divides by that share.
     """
     rows = len(fronts)
     level = np.zeros((inst.S + 1, rows), dtype=np.intp)

@@ -16,9 +16,11 @@ mass and first moment in closed form and completes it from tables of
 geometric sums: every corner and leaf then costs O(1), whatever S and N are.
 ``_Corners`` holds those tables; the arithmetic that extends a prefix and
 gives a corner's B and Wq is written out in ``search``'s node loop, so a
-node calls nothing but the clock, save a table miss or a feasible leaf.
-Only a leaf that improves the incumbent goes to ``evaluate_b_wq`` as well,
-so the incumbent's Wq is the evaluator's whichever way it was found.
+node calls nothing but the clock, save a table miss or an improving leaf.
+Only such a leaf becomes a policy: it goes to ``evaluate_b_wq``, then to the
+incumbent, so the incumbent's Wq is the evaluator's however it was found.
+``solve`` runs every strategy as one loop of shaving, then search; search
+returns True when it stopped on an improvement to shave again.
 """
 
 import math
@@ -40,10 +42,6 @@ STRATEGIES = ("none", "bl-shave", "wq-shave", "alt-shave", "alt-search-shave")
 
 class SolveTimeout(Exception):
     """Internal signal: the configured deadline passed."""
-
-
-class _Improved(Exception):
-    """Internal signal: search found a better incumbent and should restart."""
 
 
 @dataclass
@@ -481,22 +479,23 @@ class _Corners:
 
 
 def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStats,
-           deadline: float | None = None, restart_on_improve: bool = False) -> None:
+           deadline: float | None = None, restart_on_improve: bool = False) -> bool:
     """Depth-first assignment of k_0..k_{N-1}, smallest values first.
 
     A subtree is pruned when its upward corner misses the requirement or its
     downward corner cannot improve the incumbent.  Corners and leaves are
     evaluated in closed form on carried prefixes (see ``_Corners``), each in
-    O(1) and counted as one evaluation; no policy tuple is built except for
-    a feasible leaf.  A leaf whose carried Wq would improve the incumbent is
-    evaluated once more, uncounted, by ``evaluate_b_wq``, and the incumbent
-    takes that answer, so a result's Wq is the evaluator's for its policy.
-    Adds the visited nodes and evaluations to stats on every exit.  Raises
-    SolveTimeout at the deadline, and _Improved instead of continuing when
-    restart_on_improve is set and the incumbent improves.
+    O(1) and counted as one evaluation.  Only a feasible leaf whose carried
+    Wq would improve the incumbent becomes a policy tuple: it is evaluated
+    once more, uncounted, by ``evaluate_b_wq``, and offered to the incumbent
+    with that answer, so a result's Wq is the evaluator's for its policy.
+    Returns True when it stops early because restart_on_improve is set and
+    the incumbent improved, and False when it has searched the whole box.
+    Adds the visited nodes and evaluations to stats on every exit, and
+    raises SolveTimeout at the deadline.
     """
     if store.failed:
-        return
+        return False
     n, s = inst.N, inst.S
     lo, hi = store.lo, store.hi
     target = inst.Bl - EPS_B
@@ -532,18 +531,16 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
             share = 1.0 - q * si / tot  # admitted, 1 - P(S)
             b = n - lm * share
             if d == n:
-                if b >= target:
-                    wq = (w * al + q * ga) / tot / (lam * share) - inv_mu if share > 0.0 \
-                        else math.inf
+                if b >= target and share > 0.0 and \
+                        (w * al + q * ga) / tot / (lam * share) - inv_mu < best:
+                    # an improvement keeps the evaluator's (B, Wq) for its
+                    # policy, not the carried one; improvements are rare
                     pol = (*ks, s)
-                    if wq < best:
-                        # an improvement keeps the evaluator's (B, Wq) for its
-                        # policy, not the carried one; improvements are rare
-                        b, wq = evaluate_b_wq(inst, pol)
-                    improved = b >= target and inc.consider(pol, wq)
-                    best = inc.wq - EPS_WQ
-                    if improved and restart_on_improve:
-                        raise _Improved
+                    b, wq = evaluate_b_wq(inst, pol)
+                    if b >= target and inc.consider(pol, wq):
+                        if restart_on_improve:
+                            return True
+                        best = inc.wq - EPS_WQ
             elif b >= target:
                 evaluations += 1
                 al, be, ga, si = lower[i] or complete(lower, d, a)
@@ -556,7 +553,7 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
                     v, top, row = a + 1 if a >= lo[d] else lo[d], hi[d], seg[d]
             while v > top:
                 if od <= 0:
-                    return
+                    return False
                 od -= 1
                 oa, oq, om, ow, v, top, row = path[od]
             # the open node's next child: row od already holds entry v - oa,
@@ -600,14 +597,14 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
     inc = Incumbent(start=start)
 
     def result(status: str) -> SolveResult:
+        wq = None if inc.policy is None else inc.wq
         stats.memo = None
-        return SolveResult(status, inc.policy, inc.wq, status == "optimal", inc.trace, stats)
+        return SolveResult(status, inc.policy, wq, status == "optimal", inc.trace, stats)
 
     late = max_backroom_policy(inst)
     b, wq = _eval(inst, late, stats)
     if b < inst.Bl - EPS_B:
-        stats.memo = None
-        return SolveResult("infeasible", None, None, False, inc.trace, stats)
+        return result("infeasible")
     inc.consider(late, wq)
     early = min_wait_policy(inst)
     b, wq = _eval(inst, early, stats)
@@ -623,18 +620,13 @@ def solve(inst: Instance, cfg: SolverConfig | None = None) -> SolveResult:
             return result("timeout-with-incumbent")
     store = DomainStore.initial(inst)
     # looked up per call so that replaced module attributes are honoured
-    shave = {"bl-shave": bl_shave, "wq-shave": wq_shave,
-             "alt-shave": alternating_shave}.get(cfg.strategy)
+    shave = {"bl-shave": bl_shave, "wq-shave": wq_shave, "alt-shave": alternating_shave,
+             "alt-search-shave": alternating_shave}.get(cfg.strategy)
+    restart = cfg.strategy == "alt-search-shave"
     try:
-        if cfg.strategy == "alt-search-shave":
-            while alternating_shave(inst, store, inc, stats, deadline) != "proof":
-                try:
-                    search(inst, store, inc, stats, deadline, restart_on_improve=True)
-                except _Improved:
-                    continue
-                break
-        elif shave is None or shave(inst, store, inc, stats, deadline) != "proof":
-            search(inst, store, inc, stats, deadline)
+        while (shave is None or shave(inst, store, inc, stats, deadline) != "proof") \
+                and search(inst, store, inc, stats, deadline, restart_on_improve=restart):
+            pass
     except SolveTimeout:
         return result("timeout-with-incumbent")
     return result("optimal")

@@ -192,7 +192,7 @@ def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
 
 
 def test_closed_form_is_exact_under_heavy_blocking():
-    # nearly every arrival is lost, so 1 - P(S) is tiny: the closed form sums
+    # nearly every arrival is lost, so 1 - P(S) is tiny: both oracles sum
     # the mass below S rather than subtracting P(S) from one
     rng = random.Random(59)
     for _ in range(200):
@@ -202,9 +202,10 @@ def test_closed_form_is_exact_under_heavy_blocking():
         inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(3.0, 12.0), mu=mu, Bl=0.0)
         pol = random_policy(rng, inst)
         b, wq = _exact_b_wq(inst, pol)
-        m = evaluate_closed_form(inst, pol)
-        assert rel_close(m.B, b, 1e-12), (inst, pol)
-        assert rel_close(m.Wq, wq, 1e-12), (inst, pol, m.Wq, wq)
+        for ev in (evaluate_closed_form, evaluate_direct):
+            m = ev(inst, pol)
+            assert rel_close(m.B, b, 1e-12), (ev.__name__, inst, pol)
+            assert rel_close(m.Wq, wq, 1e-12), (ev.__name__, inst, pol, m.Wq, wq)
 
 
 def _geom_cases(rng: random.Random):

@@ -17,7 +17,7 @@ from switchq.core import _ModeWorkspace, _workspace
 import switchq.heuristic as heuristic_mod
 import switchq.solver as solver_mod
 from switchq.solver import (_ROOT, _SHORT_RUN, EPS_WQ, Incumbent, SearchStats, SolveTimeout,
-                            _Corners, _eval, _Improved, alternating_shave, bl_gmax_probe,
+                            _Corners, _eval, alternating_shave, bl_gmax_probe,
                             bl_gmin_probe, bl_shave, gmax, gmin, wq_gmin_probe, wq_shave)
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
@@ -490,9 +490,16 @@ def test_search_works_without_an_incumbent():
 
 def test_search_restart_signal():
     store, stats, inc = fresh_parts(EXAMPLE)
-    with pytest.raises(_Improved):
-        search(EXAMPLE, store, inc, stats, restart_on_improve=True)
+    assert search(EXAMPLE, store, inc, stats, restart_on_improve=True) is True
     assert inc.wq < evaluate_b_wq(EXAMPLE, max_backroom_policy(EXAMPLE))[1]
+    # a search that runs to the end says so, with or without the flag
+    for restart in (False, True):
+        store, stats, inc = fresh_parts(EXAMPLE)
+        inc.consider(OPT_POLICY, WQ_OPT)
+        assert search(EXAMPLE, store, inc, stats, restart_on_improve=restart) is False
+    store, stats, inc = fresh_parts(EXAMPLE)
+    assert search(EXAMPLE, store, inc, stats) is False
+    assert inc.policy == OPT_POLICY
 
 
 class _Deadline:
@@ -535,9 +542,10 @@ def test_search_counts_exactly_on_a_timeout():
 
 def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
     """The recursive descent search replaced by its explicit stack: the
-    reference for visit order, counts and the restart signal."""
+    reference for visit order, counts, the leaves offered to the incumbent
+    (only those that improve on it) and the restart flag it returns."""
     if store.failed:
-        return
+        return False
     n, s = inst.N, inst.S
     target = inst.Bl - EPS_B
 
@@ -546,18 +554,17 @@ def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
         if depth == n:
             pol = prefix + (s,)
             b, wq = _eval(inst, pol, stats)
-            if b >= target and inc.consider(pol, wq) and restart_on_improve:
-                raise _Improved
-            return
+            return b >= target and wq < inc.wq - EPS_WQ and inc.consider(pol, wq) \
+                and restart_on_improve
         if _eval(inst, gmax(inst, store, prefix), stats)[0] < target:
-            return
+            return False
         if _eval(inst, gmin(inst, store, prefix), stats)[1] >= inc.wq - EPS_WQ:
-            return
+            return False
         floor = prefix[-1] + 1 if depth else 0
-        for v in range(max(store.lo[depth], floor), store.hi[depth] + 1):
-            descend(depth + 1, prefix + (v,))
+        return any(descend(depth + 1, prefix + (v,))
+                   for v in range(max(store.lo[depth], floor), store.hi[depth] + 1))
 
-    descend(0, ())
+    return descend(0, ())
 
 
 def _recording_consider(monkeypatch):
@@ -580,13 +587,13 @@ def _regime_matrix():
 
 
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
-    # the same counts, the same leaves offered to the incumbent in the same
-    # order, the same incumbent with the same Wq and the same restart point as
-    # the recursive descent over spliced corner tuples; on the regime matrix
-    # too, so no carried inf or nan turns a prune decision
+    # the same counts, the same improving leaves offered to the incumbent in
+    # the same order, the same incumbent with the same Wq and the same restart
+    # point as the recursive descent over spliced corner tuples; on the
+    # regime matrix too, so no carried inf or nan turns a prune decision
     rng = random.Random(83)
     offered = _recording_consider(monkeypatch)
-    cases = desk_suite[:40] + [random_instance(rng, 3, 12) for _ in range(60)]
+    cases = desk_suite[:100] + [random_instance(rng, 3, 12) for _ in range(60)]
     cases += [inst for _, inst in _regime_matrix()]
     leaves = 0
     for k, inst in enumerate(cases):
@@ -595,12 +602,8 @@ def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
         for fn in (search, _recursive_search):
             store, stats, inc = fresh_parts(inst)
             offered.clear()
-            try:
-                fn(inst, store, inc, stats, restart_on_improve=restart)
-                raised = False
-            except _Improved:
-                raised = True
-            runs.append((list(offered), stats, inc.policy, inc.wq, raised))
+            restarted = fn(inst, store, inc, stats, restart_on_improve=restart)
+            runs.append((list(offered), stats, inc.policy, inc.wq, restarted))
         assert runs[0] == runs[1], inst
         leaves += len(runs[0][0])
     assert leaves > 150, leaves
