@@ -200,11 +200,11 @@ class _Workspace:
     shrinks afterwards, so it stays in float range while S * ln(lam/mu) is
     small (a tail that underflows to zero is harmless).  Each call rewrites
     only the states whose segment changed (``_sync``); those ratios are a
-    function of the policy alone, and so is the result.  A caller that moved
-    exactly one switching point by one step since its own previous call here,
-    which holds when it alone drives the workspace, may pass that point's
-    index as ``moved``: that goes straight to the one-entry patch and skips
-    the scans for the first and last moved points.
+    function of the policy alone, and so is the result.  A P1 walk calls
+    ``b_wq`` once, for its first policy; after that it writes the one ratio
+    each of its +-1 moves changes into step_buf and evaluates from the
+    buffers itself (``heuristic.run_p1``), so ``last`` no longer tracks the
+    buffers and nothing else may call ``b_wq`` on that workspace.
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -227,31 +227,24 @@ class _Workspace:
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
         self.last: Policy | None = None
 
-    def _sync(self, pol: Policy, moved: int) -> None:
+    def _sync(self, pol: Policy) -> None:
         """Bring step_buf from the previous call's policy to pol.
 
         A state changes segment only between the first and the last moved
         switching points, f and l: both policies agree on which points lie
         below a state at or below min(old k_f, new k_f), and on which lie
-        above a state past max(old k_l, new k_l).  So an unhinted call
-        rewrites just the states in between, taking each ratio from pol's
-        segments; a +-1 move is a one-state range, a repeat of the previous
-        policy rewrites nothing, and a fresh workspace fills (k_0, S].  f and
-        l are found by plain scans, forward from k_0 and backward from
-        k_{N-1}; the backward scan stops at f at the latest, since something
-        moved.  Short ranges are written state by state through the
-        memoryview; past _LONG_RUN states, one np.repeat over the segment
-        lengths is cheaper.
+        above a state past max(old k_l, new k_l).  So a call rewrites just
+        the states in between, taking each ratio from pol's segments; a +-1
+        move is a one-state range, a repeat of the previous policy rewrites
+        nothing, and a fresh workspace fills (k_0, S].  f and l are found by
+        plain scans, forward from k_0 and backward from k_{N-1}; the
+        backward scan stops at f at the latest, since something moved.
+        Short ranges are written state by state through the memoryview;
+        past _LONG_RUN states, one np.repeat over the segment lengths is
+        cheaper.
         """
         last = self.last
         self.last = pol
-        if moved >= 0:
-            if pol[moved] < last[moved]:
-                self.step_mv[last[moved]] = self.rs[moved]
-            elif moved > 0:
-                self.step_mv[pol[moved]] = self.rs[moved - 1]
-            # raising k_0 only shrinks the live range; no entry changes
-            return
         if last is None:
             i, t, j, end = 0, pol[0], self.n - 1, self.s
         else:
@@ -285,8 +278,8 @@ class _Workspace:
                 i += 1
             mv[t] = rs[i]
 
-    def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
-        self._sync(pol, moved)
+    def b_wq(self, pol: Policy) -> tuple[float, float]:
+        self._sync(pol)
         k0 = pol[0]
         parts = self.views.get(k0)
         if parts is None:
@@ -318,12 +311,10 @@ class _ModeWorkspace(_Workspace):
     one.  Whether a state lies at or below p depends only on its segment, so
     the ratio table stores inverses on the first i* segments and the shared
     patching code keeps step_buf right as k_{i*} moves.  q_buf[t + 1] holds
-    q(t).
-
-    A hinted move of an index below i* leaves p where it was and patches a
-    state below p (k_moved < k_{i*}), so the forward half of q, above p, is
-    still right in q_buf and only the backward half is recomputed.  P1's
-    walks on wide instances make almost only such moves.
+    q(t).  Each ``b_wq`` call recomputes both halves; a P1 walk, which
+    evaluates from these buffers itself, recomputes the forward half only
+    when it moves an index at or above i*, since a move below it leaves p
+    in place and changes a state below p.
     """
 
     __slots__ = ("mode",)
@@ -335,8 +326,8 @@ class _ModeWorkspace(_Workspace):
         self.rs = [1.0 / r for r in rs[:self.mode]] + rs[self.mode:]
         self.rs_arr = np.array(self.rs)
 
-    def b_wq(self, pol: Policy, moved: int = -1) -> tuple[float, float]:
-        self._sync(pol, moved)
+    def b_wq(self, pol: Policy) -> tuple[float, float]:
+        self._sync(pol)
         k0, p = pol[0], pol[self.mode]
         # per k_0, built for one p: the views stay valid while p holds still
         parts = self.views.get(k0)
@@ -346,9 +337,8 @@ class _ModeWorkspace(_Workspace):
                      qb[k0 + 1:], self.ones_t[k0:])
             self.views[k0] = parts
         _, fwd_s, fwd_q, back_s, back_q, q, ot = parts
-        if not 0 <= moved < self.mode:
-            self.q_mv[p + 1] = 1.0
-            _accumulate(fwd_s, out=fwd_q)
+        self.q_mv[p + 1] = 1.0
+        _accumulate(fwd_s, out=fwd_q)
         _accumulate(back_s, out=back_q)
         tot, moment = q.dot(ot).tolist()
         p_s = self.q_mv[self.s + 1] / tot

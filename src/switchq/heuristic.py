@@ -7,27 +7,23 @@ freezes everything at or above the last index whose decrement broke
 feasibility, which keeps the walk from cycling forever.  The best feasible
 policy seen is returned; it is guaranteed optimal only when it is one of the
 two extreme policies.
+
+Each walk evaluates through a workspace of its own from ``core``: past the
+first policy it patches the one ratio each move changes into the
+workspace's buffers and evaluates from them itself, so a step makes no
+Python call beyond numpy's.
 """
 
+import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import EPS_B, Instance, Policy, _new_workspace, max_backroom_policy, validate_instance
+from .core import (EPS_B, Instance, Policy, _accumulate, _ModeWorkspace, _new_workspace,
+                   max_backroom_policy, validate_instance)
 
 # not the solver's EPS_WQ (1e-9), which guards prunes and proofs: with it,
 # 481 of 1,939 measured walks ended on another policy, up to 1e-9 worse in Wq
 IMPROVE_EPS = 1e-12
-
-
-def type1_eligible(pol: Sequence[int], i: int) -> bool:
-    """Can k_i move down one step without breaking the ordering?"""
-    return pol[i] - pol[i - 1] > 1 if i > 0 else pol[0] > 0
-
-
-def type2_eligible(pol: Sequence[int], i: int) -> bool:
-    """Can k_i move up one step without breaking the ordering?"""
-    return pol[i + 1] - pol[i] > 1
 
 
 @dataclass
@@ -69,16 +65,22 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     the minimum, so moving points up could only bounce back and forth; the
     walk stops instead.  The walk may still pass through a policy twice right
     after a repair, but J shrinks each time, so it always terminates.
+
+    The all-late policy goes through the workspace's ``b_wq``, which fills
+    the buffers.  Every later policy differs from the one before by one +-1
+    move, so the walk writes the one ratio that move changes into
+    ``step_buf`` and evaluates from the buffers with the workspace's own
+    arithmetic.  On a mode-anchored workspace a move below the mode index
+    leaves the forward half of the product in place.
     """
     validate_instance(inst)
     s, n = inst.S, inst.N
-    k = list(max_backroom_policy(inst))
+    ws = _new_workspace(inst)
     log: list[HeuristicStep] = []
-    evaluate = _new_workspace(inst).b_wq  # the walk's own: its ``moved`` hints always hold
 
     target = inst.Bl - EPS_B
-    pol = tuple(k)
-    b, wq = evaluate(pol)
+    pol = max_backroom_policy(inst)
+    b, wq = ws.b_wq(pol)
     steps = 1
     if trace:
         log.append(HeuristicStep(pol, b, wq, "start"))
@@ -91,46 +93,89 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     # so the downward scan never needs to revisit anything smaller.
     floor = 0
     cap = 20 * (n + 1) * (s + 2) + 100
+    clock = time.perf_counter
+    # k ends in a sentinel -1, so k[j - 1] at j = 0 reads it, and the
+    # type-1 test k[j] - k[j - 1] > 1 (can k_j move down?) also covers k_0 > 0
+    k = [*pol, -1]
+    rs, step_mv, q_mv = ws.rs, ws.step_mv, ws.q_mv
+    step_buf, q_buf, ones_t = ws.step_buf, ws.q_buf, ws.ones_t
+    mode = ws.mode if isinstance(ws, _ModeWorkspace) else -1
+    lam, lm, inv_mu, inf = inst.lam, inst.lam / inst.mu, 1.0 / inst.mu, math.inf
+    accumulate = _accumulate
+    repair = False  # a decrement broke the requirement: move points up until it holds
+    q = None  # no views yet: the first move builds them
+    j = 0
     while True:
-        if steps > cap:
-            raise RuntimeError("heuristic exceeded its move budget; this is a bug")
-        if deadline is not None and time.perf_counter() > deadline:
-            return HeuristicResult("timeout", best_pol, best_wq, steps, log)
-        for j in range(floor, big_j):
-            if type1_eligible(k, j):
+        if repair:
+            # raising k_j widens only the gap below it, so every index
+            # below j - 1 stays stuck and the next scan starts at j - 1
+            j = j - 1 if j else 0
+            while j < big_j and k[j + 1] - k[j] <= 1:  # type 2: can k_j move up?
+                j += 1
+            if j == big_j:
                 break
+            if deadline is not None and clock() > deadline:
+                return HeuristicResult("timeout", tuple(best_pol), best_wq, steps, log)
+            if j < floor:
+                floor = j
+            t = k[j] + 1
+            k[j] = t
+            if j:  # state t joins segment j - 1; raising k_0 changes no ratio
+                step_mv[t] = rs[j - 1]
         else:
-            break
-        floor = j
-        k[j] -= 1
-        pol = tuple(k)
-        b, wq = evaluate(pol, j)
+            if steps > cap:
+                raise RuntimeError("heuristic exceeded its move budget; this is a bug")
+            if deadline is not None and clock() > deadline:
+                return HeuristicResult("timeout", tuple(best_pol), best_wq, steps, log)
+            j = floor
+            while j < big_j and k[j] - k[j - 1] <= 1:
+                j += 1
+            if j == big_j:
+                break
+            floor = j
+            t = k[j]
+            k[j] = t - 1
+            step_mv[t] = rs[j]  # state t joins segment j
+        # the views change only when an anchor moves: k_0, and k_{mode}
+        if j == 0 or j == mode or q is None:
+            k0 = k[0]
+            if mode < 0:
+                top = s - k0 - 1
+                sv, ot, q = step_buf[k0 + 1:], ones_t[k0 + 1:], q_buf[:top + 1]
+            else:
+                p = k[mode]
+                q_mv[p + 1] = 1.0
+                fwd_s, fwd_q = step_buf[p + 1:], q_buf[p + 2:]
+                back_s, back_q = step_buf[p:k0:-1], q_buf[p:k0:-1]
+                q, ot = q_buf[k0 + 1:], ones_t[k0:]
+        # _Workspace.b_wq and _ModeWorkspace.b_wq, term for term
+        if mode < 0:
+            accumulate(sv, out=q)
+            mass, moment = q.dot(ot).tolist()
+            tot = 1.0 + mass
+            p_s = q_mv[top] / tot
+            big_l = (k0 + moment) / tot
+        else:
+            if j >= mode:
+                accumulate(fwd_s, out=fwd_q)
+            accumulate(back_s, out=back_q)
+            tot, moment = q.dot(ot).tolist()
+            p_s = q_mv[s + 1] / tot
+            big_l = moment / tot
+        share = 1.0 - p_s
+        b = n - lm * share
+        admitted = lam * share
+        wq = big_l / admitted - inv_mu if admitted > 0.0 else inf
         steps += 1
         if trace:
-            log.append(HeuristicStep(pol, b, wq, f"dec k{j}"))
+            log.append(HeuristicStep(tuple(k[:-1]), b, wq, f"{'inc' if repair else 'dec'} k{j}"))
         if b < target:
-            big_j = j
-            # raising k_{j2} widens only the gap below it, so every index
-            # below j2 - 1 stays stuck and the next scan starts at j2 - 1
-            j2 = 0
-            while True:
-                for j2 in range(max(0, j2 - 1), big_j):
-                    if type2_eligible(k, j2):
-                        break
-                else:
-                    return HeuristicResult("solved", best_pol, best_wq, steps, log)
-                if deadline is not None and time.perf_counter() > deadline:
-                    return HeuristicResult("timeout", best_pol, best_wq, steps, log)
-                if j2 < floor:
-                    floor = j2
-                k[j2] += 1
-                pol = tuple(k)
-                b, wq = evaluate(pol, j2)
-                steps += 1
-                if trace:
-                    log.append(HeuristicStep(pol, b, wq, f"inc k{j2}"))
-                if b >= target:
-                    break
+            if not repair:
+                big_j = j
+                repair = True
+                j = 0
+            continue
+        repair = False
         if wq < best_wq - IMPROVE_EPS:
-            best_pol, best_wq = pol, wq
-    return HeuristicResult("solved", best_pol, best_wq, steps, log)
+            best_pol, best_wq = k[:-1], wq
+    return HeuristicResult("solved", tuple(best_pol), best_wq, steps, log)

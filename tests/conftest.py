@@ -172,9 +172,9 @@ def b_wq_calls(monkeypatch) -> list[int]:
     calls = [0]
 
     def counting(method):
-        def wrapper(self, pol, moved=-1):
+        def wrapper(self, pol):
             calls[0] += 1
-            return method(self, pol, moved)
+            return method(self, pol)
         return wrapper
 
     for cls in (_Workspace, _ModeWorkspace):

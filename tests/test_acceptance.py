@@ -15,9 +15,9 @@ from switchq import (DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, generate, max_backroom_policy,
                      min_wait_policy, run_p1, solve, write_instances)
-from switchq.heuristic import type1_eligible
 from switchq.solver import (Incumbent, SearchStats, alternating_shave,
                             bl_gmax_probe, bl_gmin_probe, bl_shave, wq_shave)
+from test_heuristic import type1_eligible
 
 _T0 = time.perf_counter()
 

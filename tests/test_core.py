@@ -303,26 +303,24 @@ def test_evaluate_b_wq_wide_agrees_with_oracles():
 
 
 def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
-    """(policy, moved hint, kind) for one workspace: repeats of the previous
-    policy (as an equal copy), +-1 moves with and without the hint, jumps
-    that move several points from some index on, and middle jumps that move
-    a bounded run of points and leave the tail alone."""
+    """(policy, kind) for one workspace: repeats of the previous policy (as
+    an equal copy), +-1 moves, jumps that move several points from some
+    index on, and middle jumps that move a bounded run of points and leave
+    the tail alone."""
     n, s = inst.N, inst.S
     pol = random_policy(rng, inst)
-    out = [(pol, -1, "first")]
+    out = [(pol, "first")]
     while len(out) < steps:
         r = rng.random()
         if r < 0.2:
-            out.append((tuple(list(pol)), -1, "repeat"))
+            out.append((tuple(list(pol)), "repeat"))
             continue
         if r < 0.6:
             i = rng.randrange(n)
             v = pol[i] + rng.choice((-1, 1))
             if not (pol[i - 1] if i else -1) < v < pol[i + 1]:
                 continue
-            new = pol[:i] + (v,) + pol[i + 1:]
-            hinted = rng.random() < 0.5
-            out.append((new, i if hinted else -1, "hinted" if hinted else "unhinted"))
+            out.append((pol[:i] + (v,) + pol[i + 1:], "step"))
         else:
             a = 0 if rng.random() < 0.3 else rng.randrange(n)
             b = n if r < 0.8 else rng.randrange(a + 1, n + 1)  # points a..b-1 move
@@ -333,7 +331,7 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
                 continue
             kind = ("middle jump" if moved[-1] < n - 1
                     else "jump" if moved[0] == 0 else "tail jump")
-            out.append((new, -1, kind))
+            out.append((new, kind))
         pol = out[-1][0]
     return out
 
@@ -349,25 +347,18 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
 def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     # one workspace driven through repeats, patches and bounded rewrites
     # must give exactly what a fresh workspace gives for each policy, and
-    # hold the same ratios on the live states k_0+1..S; hinted moves are
-    # sorted by where they fall against the mode index, because the
-    # mode-anchored workspace keeps its forward half only below it
+    # hold the same ratios on the live states k_0+1..S
     assert isinstance(_workspace(inst, threading.get_ident()), cls)
     rng = random.Random(61)
-    mode = _mode_index(inst)
     ws = cls(inst)
     kinds = {}
-    for pol, moved, kind in _mixed_calls(rng, inst, 3000):
+    for pol, kind in _mixed_calls(rng, inst, 3000):
         fresh = cls(inst)
-        assert ws.b_wq(pol, moved) == fresh.b_wq(pol), (kind, moved, pol)
+        assert ws.b_wq(pol) == fresh.b_wq(pol), (kind, pol)
         live = slice(pol[0] + 1, None)
-        assert ws.step_buf[live].tolist() == fresh.step_buf[live].tolist(), (kind, moved, pol)
-        if kind == "hinted":
-            kind = ("hinted below", "hinted at", "hinted above")[(moved >= mode) + (moved > mode)]
+        assert ws.step_buf[live].tolist() == fresh.step_buf[live].tolist(), (kind, pol)
         kinds[kind] = kinds.get(kind, 0) + 1
-    need = ["repeat", "hinted below", "unhinted", "jump", "tail jump", "middle jump"]
-    if mode < inst.N:
-        need += ["hinted at", "hinted above"]
+    need = ["repeat", "step", "jump", "tail jump", "middle jump"]
     assert min(kinds.get(k, 0) for k in need) >= 20, kinds
 
 
@@ -385,7 +376,7 @@ def test_memo_answers_are_the_computed_ones(inst, cls):
     stats = SearchStats()
     stats.memo = memo = {}
     seen, hits, stream = [], 0, _mixed_calls(rng, inst, 3000)
-    for pol, _, _ in stream:
+    for pol, _ in stream:
         if seen and rng.random() < 0.3:
             pol = seen[-rng.randint(1, min(len(seen), 3 * _MEMO_SIZE))]
         seen.append(pol)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 from conftest import DESK_SPEC, EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
@@ -10,7 +11,6 @@ from switchq import core, heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
 from switchq.core import (EPS_B, _ModeWorkspace, _new_workspace, _Workspace, max_backroom_policy,
                           min_wait_policy)
-from switchq.heuristic import type1_eligible, type2_eligible
 
 # every policy the walk evaluates on EXAMPLE, in order, with its move label
 EXAMPLE_TRACE = [
@@ -29,17 +29,6 @@ EXAMPLE_TRACE = [
     ((0, 2, 4, 6), "dec k1"),
     ((1, 2, 4, 6), "inc k0"),
 ]
-
-
-def test_eligibility_predicates():
-    pol = (0, 2, 3, 6)
-    assert not type1_eligible(pol, 0)
-    assert type1_eligible(pol, 1)
-    assert not type1_eligible(pol, 2)
-    assert type2_eligible(pol, 0)
-    assert not type2_eligible(pol, 1)
-    assert type2_eligible(pol, 2)
-    assert type1_eligible((1, 2, 3, 6), 0)
 
 
 def test_example_walk_is_frozen():
@@ -140,6 +129,27 @@ def test_walk_never_beats_brute_force():
     assert checked > 20
 
 
+def type1_eligible(pol: Sequence[int], i: int) -> bool:
+    """Can k_i move down one step without breaking the ordering?"""
+    return pol[i] - pol[i - 1] > 1 if i > 0 else pol[0] > 0
+
+
+def type2_eligible(pol: Sequence[int], i: int) -> bool:
+    """Can k_i move up one step without breaking the ordering?"""
+    return pol[i + 1] - pol[i] > 1
+
+
+def test_eligibility_predicates():
+    pol = (0, 2, 3, 6)
+    assert not type1_eligible(pol, 0)
+    assert type1_eligible(pol, 1)
+    assert not type1_eligible(pol, 2)
+    assert type2_eligible(pol, 0)
+    assert not type2_eligible(pol, 1)
+    assert type2_eligible(pol, 2)
+    assert type1_eligible((1, 2, 3, 6), 0)
+
+
 def _reference_p1(inst: Instance, eps_b: float = 1e-9, improve_eps: float = 1e-12):
     """P1 as published, with the J guard: every repair scan starts from 0
     and every policy goes through evaluate_b_wq.  Returns the trace as
@@ -199,9 +209,9 @@ def test_walk_matches_one_at_a_time_reference():
 
 def test_wide_walk_matches_fresh_workspaces():
     # a wide-walk draw with its mode index, 7, inside the policy: the walk's
-    # hinted moves all fall below it, so the mode-anchored workspace keeps
-    # its forward half throughout; each step must read exactly what a fresh
-    # workspace gives for that policy
+    # moves all fall below it, so it keeps the forward half of the
+    # mode-anchored product throughout; each step must read exactly what a
+    # fresh workspace gives for that policy
     inst = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
     assert sum(inst.lam / (i * inst.mu) >= 1.0 for i in range(1, inst.N + 1)) == 7
     res = run_p1(inst, trace=True)
@@ -210,9 +220,24 @@ def test_wide_walk_matches_fresh_workspaces():
         assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
 
 
+def test_wide_walk_above_the_mode_matches_fresh_workspaces():
+    # mode index 9 inside the policy, and half the walk's moves above it:
+    # each of those must recompute the forward half of the mode-anchored
+    # product, which moves below the mode leave in place
+    inst = Instance(S=300, N=20, lam=9.0, mu=1.0, Bl=11.0)
+    mode = sum(inst.lam / (i * inst.mu) >= 1.0 for i in range(1, inst.N + 1))
+    assert mode == 9
+    res = run_p1(inst, trace=True)
+    assert res.steps == len(res.trace) == 5601
+    assert sum(int(st.action[5:]) > mode for st in res.trace[1:]) == 2800
+    for st in res.trace:
+        assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
+
+
 def test_walk_owns_its_workspace():
-    # a walk builds its own workspace, so its moved hints hold whatever else
-    # drives evaluate_b_wq's per-thread workspaces, which it leaves alone
+    # a walk builds its own workspace, patches its buffers and evaluates
+    # from them itself, so nothing else may drive that workspace; it leaves
+    # evaluate_b_wq's per-thread workspaces alone
     wide = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
     assert type(_new_workspace(EXAMPLE)) is _Workspace
     assert type(_new_workspace(wide)) is _ModeWorkspace
@@ -228,7 +253,16 @@ def test_walk_owns_its_workspace():
 WALK_DIGESTS = {
     "desk": (7994, "a954e30a26a251f9df52d0eaefa12b7b664034b00cc86e5bc83064ad535c09cb"),
     "tall": (15623, "55ad2bc2e520e8933d7d6fc00e4e333da2640c5e388ddb0ad903404ef7136fcd"),
+    "wide": (11953, "dc18a7983cd400c6a97d338825c36a7cdfea454836960ff018d0085899156718"),
 }
+
+# mode-anchored walks whose moves reach above the mode index, up to it, and
+# only below it
+WIDE_WALKS = [
+    Instance(S=300, N=20, lam=9.0, mu=1.0, Bl=11.0),
+    Instance(S=300, N=10, lam=9.0, mu=1.0, Bl=0.5),
+    Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0),
+]
 
 
 def _answer(res):
@@ -236,10 +270,11 @@ def _answer(res):
 
 
 def test_suite_walks_are_pinned_bit_for_bit():
-    for label, spec in (("desk", DESK_SPEC), ("tall", TALL_SPEC)):
+    for label, insts in (("desk", generate(DESK_SPEC)), ("tall", generate(TALL_SPEC)),
+                         ("wide", WIDE_WALKS)):
         digest = hashlib.sha256()
         count = 0
-        for inst in generate(spec):
+        for inst in insts:
             traced = run_p1(inst, trace=True)
             for st in traced.trace:
                 digest.update(f"{st.policy} {st.action} {st.B.hex()} {st.Wq.hex()}\n".encode())
