@@ -5,24 +5,32 @@ appended, so there are C(S, N) of them and lexicographic enumeration is a
 combinations walk.  Brute force is the reference judge for every other
 solver in the package, so it stays independent of the evaluator they use.
 
-The judge screens the policies in blocks of a 2-D numpy array, one column
-per policy.  A policy's state weights are built in the log domain: the
-cumulative sum of the log balance ratios, taken down from state S, so the
-idle state k_0 puts every state below it at -inf.  Each policy's log
-weights are shifted by their maximum before exponentiating, so no capacity
-can overflow.  F is the sum of the servers in each state times its weight,
-never the flow-balance identity, and nothing is shared with
-``evaluate_b_wq`` or its workspaces.  The screen only narrows the field: a
-policy whose B lies within the screen's error bound of the back-room target,
-or whose Wq might reach the running minimum, is decided by the direct
-oracle ``evaluate_direct``, feasibility first and then in lexicographic
-order.  The answer is therefore the one that oracle gives when run over
-every policy, bit for bit.
+The judge screens the policies in blocks of a 2-D numpy array, one row per
+policy and one column per segment, so a policy costs N + 2 numbers whatever
+S is.  On the segment served by i workers the state weights are geometric
+in rho_i = lam / (i * mu), so a segment's mass and first moment follow from
+its first state's weight and two per-instance tables indexed by level and
+segment length: the log of sum_{t=1..L} rho_i^t and that sum's mean offset.
+The tables come from recursions with positive terms only, in the ratio
+min(rho_i, 1 / rho_i), so nothing cancels and no power leaves float range.
+A policy's log weights at its switching points are a cumulative sum of
+len_i * log(rho_i); each row is shifted by its largest log mass before
+exponentiating, so no capacity can overflow.  The last segment is split
+into the states below S and state S itself, so the admitted share is the
+mass below S, summed from positive terms, never one minus P(S).  F is the
+sum of the servers on each segment times its mass, never the flow-balance
+identity, and nothing is shared with ``evaluate_b_wq``, the solver or the
+closed form.  The screen only narrows the field: a policy whose B lies
+within the screen's error bound of the back-room target, or whose Wq might
+reach the running minimum, is decided by the direct oracle
+``evaluate_direct``, feasibility first and then in lexicographic order.  The
+answer is therefore the one that oracle gives when run over every policy,
+bit for bit.
 """
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -30,9 +38,10 @@ from .core import EPS_B, Instance, Policy, evaluate_direct, validate_instance
 
 ENUMERATION_LIMIT = 10_000_000
 
-# policies * (S + 1) per screening block; bounds the memory a block takes.
-# The per-block cost is mostly fixed numpy call overhead, so the judge's
-# speed grows almost in proportion to this budget (see ROADMAP, Direction 1).
+# policies * (N + 1) per screening block (a row holds N + 2 numbers); bounds
+# the memory a block takes.  The per-block cost is mostly fixed numpy call
+# overhead, so the judge's speed grows almost in proportion to this budget
+# (see ROADMAP, Direction 1).
 _BLOCK_ELEMENTS = 1 << 9
 
 
@@ -48,52 +57,118 @@ def iter_policies(inst: Instance) -> Iterator[Policy]:
         yield front + (s,)
 
 
-def _screen_tolerance(inst: Instance, down: np.ndarray) -> float:
+def _segment_tables(log_rho: Sequence[float],
+                    length: int) -> tuple[list[list[float]], list[list[float]]]:
+    """Log mass and mean offset of a geometric segment, per level and length.
+
+    Row i holds the level with ratio rho = exp(log_rho[i]); entry L,
+    0 <= L <= length, holds log(sum_{t=1..L} rho^t) and the mean offset
+    sum_{t=1..L} t * rho^t / sum_{t=1..L} rho^t (-inf and 0 at L = 0).
+    With r = min(rho, 1 / rho) <= 1, G(L) = r * G(L-1) + 1 sums r^u for
+    u < L.  A falling segment (rho <= 1) sums to rho * G(L), with moment
+    rho * A(L), A(L) = r * A(L-1) + G(L); a rising one sums to rho^L * G(L),
+    with moment rho^L * E(L), E(L) = r * E(L-1) + L.  Every step adds
+    positive terms, so nothing cancels and the relative error stays within
+    a few L ulps.
+    """
+    log_sums, offsets = [], []
+    for lr in log_rho:
+        r = math.exp(-abs(lr))
+        rising = lr > 0.0
+        g = m = 0.0
+        row_s, row_o = [-math.inf], [0.0]
+        for t in range(1, length + 1):
+            g = r * g + 1.0
+            m = r * m + (t if rising else g)
+            row_s.append((t * lr if rising else lr) + math.log(g))
+            row_o.append(m / g)
+        log_sums.append(row_s)
+        offsets.append(row_o)
+    return log_sums, offsets
+
+
+def _screen_tolerance(inst: Instance, log_rho: Sequence[float]) -> float:
     """Relative bound on how far the screen's F and Wq may sit from the recursion's.
 
-    The screen's log weight of a state sums up to S logarithms, each at most
-    spread = max |log(lam / (i * mu))| in size, so every partial sum over the
-    states that carry weight is within S * spread plus the few dozen units
-    below the largest where weights vanish; the recursion multiplies up to S
-    ratios.  The bound covers both routes' rounding, with a margin.
+    The screen's log weight of a segment sums up to N + 1 terms of size at
+    most S * spread, spread = max |log(lam / (i * mu))|, plus a table entry
+    good to a few S ulps, so every log weight that carries mass is within
+    (N + 2) * S * spread ulps; the recursion multiplies up to S ratios.  The
+    bound covers both routes' rounding, with a margin.
     """
-    spread = float(np.abs(down[1:]).max())
+    spread = max(map(abs, log_rho))
     return 8.0 * np.finfo(float).eps * (inst.S + 1) * (inst.S * spread + 48.0)
 
 
-def _screen(inst: Instance, fronts: np.ndarray, down: np.ndarray,
-            states: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B and bounds below and above the direct recursion's Wq for every row
-    of fronts (k_0..k_{N-1} per policy).
+class _ScreenTables:
+    """Per-instance inputs of ``_screen``.
 
-    The work arrays hold one column per policy and one row per state, so the
-    per-state sweeps run across whole blocks of policies.  level[j, r] counts
-    the switching points of policy r at or below state j, which is the
-    number of workers serving in state j + 1.  The log weight of state j
-    relative to state S is the sum over u = j..S-1 of
-    down[level[u]] = log(level[u] * mu / lam); down[0] is -inf, so every
-    state below k_0 comes out at -inf and gets weight zero.  Wq's error grows
-    as 1 / (1 - P(S)), since the screen, unlike the recursion, forms the
-    admitted rate as lam * (1 - P(S)); the bound divides by that share.
+    A policy's row has N + 2 columns, each a run of states after a start
+    state: the idle state k_0 (one state after k_0 - 1, at ratio 1), the
+    segments 1..N-1, segment N without state S, and state S (one state
+    after S - 1, at level N).  ``segment`` stacks three flat tables, each
+    with one row per column, indexed by the column's length: the log segment
+    sum, the mean offset, and length * log(rho), the log weight the column
+    adds to the next column's start state.  ``sums`` has a column each for
+    the mass below S, the servers times mass, and the total mass.
     """
-    rows = len(fronts)
-    level = np.zeros((inst.S + 1, rows), dtype=np.intp)
-    level[fronts.T, np.arange(rows)] = 1
-    np.cumsum(level, axis=0, out=level)
-    w = down[level]
-    w[-1] = 0.0
-    np.cumsum(w[::-1], axis=0, out=w[::-1])
-    w -= w.max(axis=0)
+
+    __slots__ = ("segment", "base", "sums", "tol")
+
+    def __init__(self, inst: Instance):
+        n = inst.N
+        log_load = math.log(inst.lam) - math.log(inst.mu)
+        log_rho = [log_load - math.log(i) for i in range(1, n + 1)]
+        width = inst.S - n + 2
+        log_sum, offset = _segment_tables(log_rho, width - 1)
+        # the idle column and state S read only length 1
+        pad = [0.0] * (width - 2)
+        lengths = range(width)
+        self.segment = np.array([
+            [-math.inf, 0.0, *pad, *itertools.chain(*log_sum), -math.inf, log_rho[-1], *pad],
+            [0.0, 1.0, *pad, *itertools.chain(*offset), 0.0, 1.0, *pad],
+            [0.0] * width + [length * lr for lr in log_rho for length in lengths] + [0.0] * width])
+        self.base = np.arange(0, (n + 2) * width, width)
+        self.sums = np.ones((n + 2, 3))
+        self.sums[:, 1] = np.arange(n + 2)
+        self.sums[-1, :2] = (0.0, n)  # state S: not admitted, N servers
+        self.tol = _screen_tolerance(inst, log_rho)
+
+
+def _screen(inst: Instance, points: np.ndarray,
+            tables: _ScreenTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B and bounds below and above the direct recursion's Wq for every row
+    of points (k_0 - 1, k_0, k_1, ..., k_{N-1}, S - 1, S per policy).
+
+    Column j's states follow points[:, j], and a row's differences are the
+    column lengths 1, len_1, ..., len_{N-1}, len_N - 1, 1.  The log weight
+    of column j's start state relative to q(k_0) is the cumulative sum of
+    length times log ratio over the earlier columns; adding the table's log
+    segment sum gives the column's log mass.  Its first moment is its mass
+    times the start state plus the table's mean offset.  So a row costs
+    N + 2 numbers, and the numpy calls run across whole blocks of policies.
+    The admitted share is the mass of every column but the last, from
+    positive terms only, so Wq's error is relative to the wait per admitted
+    arrival, with no factor for the share.  Where P(S) rounds to one, the
+    direct oracle reports an infinite wait while these bounds stay finite;
+    a test holds the judge to the oracle's answer there too.
+    """
+    idx = np.subtract(points[:, 1:], points[:, :-1])
+    idx += tables.base
+    w, pos, rise = tables.segment.take(idx, axis=1)
+    w[:, 1:] += rise[:, :-1].cumsum(axis=1)
+    w -= np.maximum.reduce(w, axis=1, keepdims=True)
     np.exp(w, out=w)
-    tot = w.sum(axis=0)
-    open_share = 1.0 - w[-1] / tot
-    served = w[1:]
+    pos += points[:, :-1]
+    pos *= w
+    below, served, tot = (w @ tables.sums).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_admitted = (states @ w) / (tot * inst.lam * open_share)
+        # once the mass below S underflows, the wait is infinite and the
+        # lower bound NaN
+        per_admitted = np.add.reduce(pos, axis=1) / below / inst.lam
         wq = per_admitted - 1.0 / inst.mu
-        wq_err = tol * per_admitted / open_share
-        served *= level[:-1]
-        return inst.N - served.sum(axis=0) / tot, wq - wq_err, wq + wq_err
+        wq_err = tables.tol * per_admitted
+        return inst.N - served / tot, wq - wq_err, wq + wq_err
 
 
 def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, float] | None:
@@ -112,25 +187,27 @@ def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, f
                          f"{ENUMERATION_LIMIT}")
     s, n = inst.S, inst.N
     target = inst.Bl - eps_b
-    down = np.full(n + 1, -np.inf)
-    down[1:] = np.log(np.arange(1, n + 1)) + (math.log(inst.mu) - math.log(inst.lam))
-    tol = _screen_tolerance(inst, down)
-    b_err = tol * n
-    states = np.arange(s + 1, dtype=float)
-    block = max(1, _BLOCK_ELEMENTS // (s + 1))
+    tables = _ScreenTables(inst)
+    b_err = tables.tol * n
+    block = max(1, _BLOCK_ELEMENTS // (n + 1))
+    buf = np.empty((min(block, count), n + 3), dtype=np.intp)
+    buf[:, n + 1:] = (s - 1, s)
     combos = itertools.combinations(range(s), n)
     best: Policy | None = None
     best_wq = math.inf
     for start in range(0, count, block):
         rows = min(block, count - start)
-        fronts = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
-                             dtype=np.intp, count=rows * n).reshape(rows, n)
-        b, wq_lo, wq_hi = _screen(inst, fronts, down, states, tol)
+        points = buf[:rows]
+        fronts = points[:, 1:n + 1]
+        fronts[...] = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
+                                  dtype=np.intp, count=rows * n).reshape(rows, n)
+        np.subtract(fronts[:, 0], 1, out=points[:, 0])
+        b, wq_lo, wq_hi = _screen(inst, points, tables)
         # settle feasibility first, so a policy the screen wrongly passes
         # cannot lower the bound the others are measured against
         exact: dict[int, float] = {}
         feasible = b >= target
-        for r in np.flatnonzero(np.abs(b - target) <= b_err).tolist():
+        for r in (np.abs(b - target) <= b_err).nonzero()[0].tolist():
             m = evaluate_direct(inst, tuple(fronts[r].tolist()) + (s,))
             feasible[r] = m.B >= target
             wq_lo[r] = wq_hi[r] = exact[r] = m.Wq
@@ -141,7 +218,7 @@ def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, f
         # the leader's and every feasible policy's upper bound; a NaN lower
         # bound (the screen put all the mass at S) counts as reachable
         bound = min(best_wq, float(reach.min()))
-        for r in np.flatnonzero(feasible & ~(wq_lo > bound)).tolist():
+        for r in (feasible & ~(wq_lo > bound)).nonzero()[0].tolist():
             pol = tuple(fronts[r].tolist()) + (s,)
             wq_r = exact[r] if r in exact else evaluate_direct(inst, pol).Wq
             if wq_r < best_wq:

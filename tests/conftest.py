@@ -58,6 +58,15 @@ def random_policy(rng: random.Random, inst: Instance) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(inst.S), inst.N))) + (inst.S,)
 
 
+# ROADMAP's known wrong answer (Direction 9): the all-late policy's exact B
+# lies below Bl, so nothing is feasible, but 1 - P(S) cancels under heavy
+# blocking and the evaluator's B for it clears Bl
+HEAVY_BLOCKING_INFEASIBLE = (
+    Instance(S=14, N=1, lam=191632210044.58517, mu=4.233670978508806, Bl=6.527762252689074e-07),
+    Instance(S=6, N=2, lam=933039882910.346, mu=1.588664805185247, Bl=2.2420145895624658e-05),
+)
+
+
 _NEAR_ONE_DELTAS = (0.0, 1e-14, -1e-14, 1e-9, -1e-9, 3e-7, -3e-7, 1e-5, -1e-5,
                     4e-4, -4e-4)
 

@@ -2,14 +2,18 @@
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import EXAMPLE, OPT_POLICY, WQ_OPT, random_instance, random_policy
+from conftest import (EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY, WQ_OPT, random_instance,
+                      random_policy)
 from switchq import (ENUMERATION_LIMIT, Instance, brute_force_optimum,
                      evaluate_direct, is_feasible, iter_policies,
                      max_backroom_policy, min_wait_policy, policy_count)
 from switchq.core import EPS_B, validate_policy
+from switchq.policies import _screen, _ScreenTables, _segment_tables
 
 
 def test_policy_count_matches_enumeration():
@@ -126,3 +130,68 @@ def test_brute_force_matches_scalar_reference():
     blocked = [evaluate_direct(inst, brute_force_optimum(inst, eps_b=eps_b)[0]).pBlock
                for inst, eps_b in heavy]
     assert min(blocked) > 0.5 and max(blocked) > 0.9, (min(blocked), max(blocked))
+
+
+def test_segment_tables_match_exact_sums():
+    length = 60
+    for rho in (1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-3, 1.0 - 1e-3, 1e3, 1e-3):
+        (log_sum,), (offset,) = _segment_tables([math.log(rho)], length)
+        assert log_sum[0] == -math.inf and offset[0] == 0.0
+        r = Fraction(rho)
+        total = moment = Fraction(0)
+        for t in range(1, length + 1):
+            total += r ** t
+            moment += t * r ** t
+            assert abs(Fraction(math.exp(log_sum[t])) / total - 1) <= 1e-12, (rho, t)
+            assert abs(Fraction(offset[t]) / (moment / total) - 1) <= 1e-12, (rho, t)
+
+
+def _screen_every_policy(inst):
+    """The screen's (B, Wq low, Wq high) for every policy, in one block."""
+    tables = _ScreenTables(inst)
+    fronts = np.array([pol[:-1] for pol in iter_policies(inst)], dtype=np.intp)
+    rows = len(fronts)
+    points = np.column_stack((fronts[:, 0] - 1, fronts, np.full(rows, inst.S - 1),
+                              np.full(rows, inst.S)))
+    return tables, _screen(inst, points, tables)
+
+
+def test_screen_bounds_the_direct_oracle():
+    rng = random.Random(41)
+    cases = [random_instance(rng, 2, 12) for _ in range(30)]
+    cases += [_knife_edge(rng, random_instance(rng, 2, 12)) for _ in range(10)]
+    # heavy blocking: lam / mu from 1e6 to 1e12
+    for _ in range(20):
+        s = rng.randint(2, 12)
+        mu = rng.uniform(0.2, 60.0)
+        cases.append(Instance(S=s, N=rng.randint(1, s), lam=mu * 10.0 ** rng.uniform(6.0, 12.0),
+                              mu=mu, Bl=0.0))
+    cases += list(HEAVY_BLOCKING_INFEASIBLE)
+    cases += [Instance(S=8, N=3, lam=1e-200, mu=1.0, Bl=1.0),
+              Instance(S=1000, N=1, lam=1.9, mu=1.0, Bl=0.1)]
+    for inst in cases:
+        tables, (b, wq_lo, wq_hi) = _screen_every_policy(inst)
+        b_err = tables.tol * inst.N
+        for r, pol in enumerate(iter_policies(inst)):
+            m = evaluate_direct(inst, pol)
+            assert abs(b[r] - m.B) <= b_err, (inst, pol)
+            assert wq_lo[r] <= m.Wq <= wq_hi[r], (inst, pol)
+
+
+def test_brute_force_matches_scalar_reference_where_blocking_rounds_to_one():
+    # lam / mu from 1e13 to 1e22: for many policies P(S) rounds to one, the
+    # direct oracle's Wq is infinite and the screen's bound stays finite
+    rng = random.Random(43)
+    rounded = 0
+    for _ in range(30):
+        s = rng.randint(2, 8)
+        n = rng.randint(1, s)
+        mu = rng.uniform(0.2, 60.0)
+        inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(13.0, 22.0), mu=mu, Bl=0.0)
+        # the oracle's B can round a hair below zero here
+        b = max(0.0, evaluate_direct(inst, random_policy(rng, inst)).B)
+        rounded += any(math.isinf(evaluate_direct(inst, pol).Wq) for pol in iter_policies(inst))
+        for case in (inst, Instance(S=s, N=n, lam=inst.lam, mu=mu, Bl=b)):
+            for eps_b in (0.0, EPS_B):
+                assert brute_force_optimum(case, eps_b=eps_b) == _scalar_brute_force(case, eps_b)
+    assert rounded > 10

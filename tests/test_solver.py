@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from conftest import (DESK_SPEC, EXAMPLE, OPT_POLICY, REGIMES, WQ_OPT, random_instance,
-                      random_policy, regime_instance, rel_close)
+from conftest import (DESK_SPEC, EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY, REGIMES,
+                      WQ_OPT, random_instance, random_policy, regime_instance, rel_close)
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, evaluate_direct, generate,
                      max_backroom_policy, min_wait_policy, run_p1, search, solve)
@@ -686,15 +686,6 @@ def test_wait_corner_subsumes_dominance_cuts():
 # solve
 
 
-# ROADMAP's known wrong answer: the all-late policy's exact B lies below Bl,
-# so nothing is feasible, but 1 - P(S) cancels under heavy blocking and the
-# evaluator's B for it clears Bl
-HEAVY_BLOCKING_INFEASIBLE = (
-    Instance(S=14, N=1, lam=191632210044.58517, mu=4.233670978508806, Bl=6.527762252689074e-07),
-    Instance(S=6, N=2, lam=933039882910.346, mu=1.588664805185247, Bl=2.2420145895624658e-05),
-)
-
-
 @pytest.mark.xfail(strict=True, reason="the admitted share 1 - P(S) cancels under heavy "
                                        "blocking; see ROADMAP Direction 9")
 def test_heavy_blocking_with_a_large_load_is_infeasible():
@@ -702,6 +693,13 @@ def test_heavy_blocking_with_a_large_load_is_infeasible():
     for inst in HEAVY_BLOCKING_INFEASIBLE:
         assert brute_force_optimum(inst) is None, inst
         assert [solve(inst, cfg).status for cfg in cfgs] == ["infeasible"] * 6, inst
+
+
+def test_brute_force_finds_heavy_blocking_infeasible():
+    # the judge's half of the pin above, outside the xfail, so that a judge
+    # that broke on these instances fails here
+    for inst in HEAVY_BLOCKING_INFEASIBLE:
+        assert brute_force_optimum(inst) is None, inst
 
 
 def test_solve_statuses():
