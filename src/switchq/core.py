@@ -18,7 +18,9 @@ birth-death balance recursion state by state; ``evaluate_closed_form``
 assembles the same distribution from geometric-series identities anchored at
 the switching points, always in log space, and takes the admitted share
 1 - P(S) as the summed mass of the states below S.  They must agree to near
-machine precision, and the test suite leans on that redundancy.
+machine precision, and the test suite leans on that redundancy.  The hot
+route, ``evaluate_b_wq``, runs the recursion as cumulative products over a
+reusable workspace, anchored at one switching point, and sums the same mass.
 """
 
 import math
@@ -168,11 +170,15 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
     p = [0.0] * (s + 1)
     for t in range(k0, s + 1):
         p[t] = q[t] / tot
-    f = math.fsum(i * p[j] for i in range(1, n + 1) for j in range(pol[i - 1] + 1, pol[i] + 1))
+    served = [(i, j) for i in range(1, n + 1) for j in range(pol[i - 1] + 1, pol[i] + 1)]
+    f = math.fsum(i * p[j] for i, j in served)
+    # B sums its nonnegative terms, N - i workers idle in each state, so
+    # no subtraction from N can take it below zero
+    b = math.fsum([n * p[k0]] + [(n - i) * p[j] for i, j in served])
     big_l = math.fsum(t * p[t] for t in range(k0, s + 1))
     admitted = lam * math.fsum(p[k0:s]) if p[s] < 1.0 else 0.0
     wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return Metrics(p=p, F=f, B=n - f, L=big_l, Wq=wq, pBlock=p[s])
+    return Metrics(p=p, F=f, B=b, L=big_l, Wq=wq, pBlock=p[s])
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +200,26 @@ class _Workspace:
     """Reusable buffers for the vectorized route on one instance, owned by one
     caller at a time: a thread's ``evaluate_b_wq`` calls, or one P1 walk.
 
-    step_buf[t] holds the balance ratio into state t, t = k_0 + 1..S, for
-    the policy of the previous call, and the product runs forward from
-    q(k_0) = 1.  It peaks where the per-state ratio crosses one and only
-    shrinks afterwards, so it stays in float range while S * ln(lam/mu) is
-    small (a tail that underflows to zero is harmless).  Each call rewrites
-    only the states whose segment changed (``_sync``); those ratios are a
-    function of the policy alone, and so is the result.  A P1 walk calls
-    ``b_wq`` once, for its first policy; after that it writes the one ratio
-    each of its +-1 moves changes into step_buf and evaluates from the
-    buffers itself (``heuristic.run_p1``), so ``last`` no longer tracks the
-    buffers and nothing else may call ``b_wq`` on that workspace.
+    The balance product is anchored at the switching point k_a, where
+    q(k_a) = 1, and q(t) sits at q_buf[t + 1].  It runs forward over the
+    ratios into the states above k_a and backward over the inverse ratios
+    below it.  Ordinarily a = 0: the product runs forward from k_0, peaks
+    where the per-state ratio crosses one and only shrinks afterwards, so it
+    stays in float range while S * ln(lam/mu) is small (a tail that
+    underflows to zero is harmless).  Past _CUMPROD_LIMIT, a is the mode
+    index, the number of worker levels whose ratio lam/(i*mu) is at least
+    one: the distribution peaks at k_a and every partial product is at most
+    one.  Whether a state lies at or below k_a depends only on its segment,
+    so ``rs`` stores inverse ratios on the first a segments.
+
+    step_buf[t] holds the ratio into state t, t = k_0 + 1..S, for the policy
+    of the previous call.  Each call rewrites only the states whose segment
+    changed (``_sync``); those ratios are a function of the policy alone, and
+    so is the result.  A P1 walk calls ``b_wq`` once, for its first policy;
+    after that it writes the one ratio each of its +-1 moves changes into
+    step_buf and evaluates from the buffers itself (``heuristic.run_p1``),
+    so ``last`` no longer tracks the buffers and nothing else may call
+    ``b_wq`` on that workspace.
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -212,16 +227,21 @@ class _Workspace:
     entries are read and written through memoryviews of the buffers.
     """
 
-    __slots__ = ("s", "n", "lam", "mu", "rs", "rs_arr", "ones_t", "step_buf", "q_buf",
-                 "step_mv", "q_mv", "views", "last")
+    __slots__ = ("s", "n", "lam", "mu", "lm", "inv_mu", "a", "rs", "rs_arr", "ones_t",
+                 "step_buf", "q_buf", "step_mv", "q_mv", "views", "last")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
-        self.rs = [self.lam / (i * self.mu) for i in range(1, self.n + 1)]
+        self.lm, self.inv_mu = self.lam / self.mu, 1.0 / self.mu
+        self.rs = rs = [self.lam / (i * self.mu) for i in range(1, self.n + 1)]
+        self.a = 0
+        if self.lam > self.mu and self.s * math.log(self.lam / self.mu) > _CUMPROD_LIMIT:
+            self.a = a = sum(r >= 1.0 for r in rs)
+            self.rs = [1.0 / r for r in rs[:a]] + rs[a:]
         self.rs_arr = np.array(self.rs)
         self.ones_t = _ones_t(self.s)
         self.step_buf = np.empty(self.s + 1)
-        self.q_buf = np.empty(self.s + 2)  # the mode-anchored layout needs s + 2
+        self.q_buf = np.empty(self.s + 2)
         self.step_mv = memoryview(self.step_buf)
         self.q_mv = memoryview(self.q_buf)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
@@ -280,89 +300,36 @@ class _Workspace:
 
     def b_wq(self, pol: Policy) -> tuple[float, float]:
         self._sync(pol)
-        k0 = pol[0]
-        parts = self.views.get(k0)
-        if parts is None:
-            m = self.s - k0
-            parts = (self.step_buf[k0 + 1:], self.ones_t[k0 + 1:], self.q_buf[:m], m)
-            self.views[k0] = parts
-        sv, ot, q, m = parts
-        _accumulate(sv, out=q)
-        mass, moment = q.dot(ot).tolist()
-        tot = 1.0 + mass
-        p_s = self.q_mv[m - 1] / tot
-        big_l = (k0 + moment) / tot
-        # flow balance: admissions lam*(1 - P(S)) match completions mu*F,
-        # because the count never drops below the number of workers serving
-        f = self.lam / self.mu * (1.0 - p_s)
-        admitted = self.lam * (1.0 - p_s)
-        wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        return self.n - f, wq
-
-
-class _ModeWorkspace(_Workspace):
-    """Workspace whose product is anchored at the mode, for wide instances.
-
-    Once S * ln(lam/mu) is large, a product run forward from k_0 can
-    overflow.  The mode of the distribution sits at p = k_{i*}, where i*
-    counts the worker levels whose ratio lam/(i*mu) is at least one.  Here
-    q(p) = 1, the product runs forward over the ratios above p and backward
-    over the inverse ratios below it, so every partial product is at most
-    one.  Whether a state lies at or below p depends only on its segment, so
-    the ratio table stores inverses on the first i* segments and the shared
-    patching code keeps step_buf right as k_{i*} moves.  q_buf[t + 1] holds
-    q(t).  Each ``b_wq`` call recomputes both halves; a P1 walk, which
-    evaluates from these buffers itself, recomputes the forward half only
-    when it moves an index at or above i*, since a move below it leaves p
-    in place and changes a state below p.
-    """
-
-    __slots__ = ("mode",)
-
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        rs = self.rs
-        self.mode = sum(r >= 1.0 for r in rs)
-        self.rs = [1.0 / r for r in rs[:self.mode]] + rs[self.mode:]
-        self.rs_arr = np.array(self.rs)
-
-    def b_wq(self, pol: Policy) -> tuple[float, float]:
-        self._sync(pol)
-        k0, p = pol[0], pol[self.mode]
-        # per k_0, built for one p: the views stay valid while p holds still
+        a, s, q_mv = self.a, self.s, self.q_mv
+        k0, p = pol[0], pol[a]
+        # per k_0, built for one k_a: the views stay valid while k_a holds still
         parts = self.views.get(k0)
         if parts is None or parts[0] != p:
             sb, qb = self.step_buf, self.q_buf
-            parts = (p, sb[p + 1:], qb[p + 2:], sb[p:k0:-1], qb[p:k0:-1],
-                     qb[k0 + 1:], self.ones_t[k0:])
+            parts = (p, sb[p + 1:], qb[p + 2:], sb[p:k0:-1], qb[p:k0:-1], qb[k0 + 1:s + 1],
+                     self.ones_t[k0:s])
             self.views[k0] = parts
         _, fwd_s, fwd_q, back_s, back_q, q, ot = parts
-        self.q_mv[p + 1] = 1.0
+        q_mv[p + 1] = 1.0
         _accumulate(fwd_s, out=fwd_q)
-        _accumulate(back_s, out=back_q)
-        tot, moment = q.dot(ot).tolist()
-        p_s = self.q_mv[self.s + 1] / tot
-        big_l = moment / tot
-        # the base class's flow-balance tail, repeated so that its hot path
-        # pays for no extra call
-        f = self.lam / self.mu * (1.0 - p_s)
-        admitted = self.lam * (1.0 - p_s)
-        wq = big_l / admitted - 1.0 / self.mu if admitted > 0.0 else math.inf
-        return self.n - f, wq
-
-
-def _new_workspace(inst: Instance) -> _Workspace:
-    """A fresh workspace for inst, mode-anchored when a product run forward
-    from k_0 could overflow."""
-    if inst.lam > inst.mu and inst.S * math.log(inst.lam / inst.mu) > _CUMPROD_LIMIT:
-        return _ModeWorkspace(inst)
-    return _Workspace(inst)
+        if a:
+            _accumulate(back_s, out=back_q)
+        # mass and first moment of the states k_0..S-1; the admitted share
+        # 1 - P(S) is their mass over the total, never a subtraction, which
+        # would cancel under heavy blocking
+        below, moment = q.dot(ot).tolist()
+        q_s = q_mv[s + 1]
+        tot = below + q_s
+        # flow balance: admissions lam*(1 - P(S)) match completions mu*F,
+        # because the count never drops below the number of workers serving
+        wq = (moment + s * q_s) / below / self.lam - self.inv_mu if tot > q_s else math.inf
+        return self.n - self.lm * (below / tot), wq
 
 
 @lru_cache(maxsize=32)
 def _workspace(inst: Instance, thread: int) -> _Workspace:
     """evaluate_b_wq's workspace of one instance for one thread; threads never share one."""
-    return _new_workspace(inst)
+    return _Workspace(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +420,9 @@ def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     through the solve's memo; search's improving leaves; ``generate``'s
     screening; and ``bench``'s fallback wait.  Runs the balance recursion
     as cumulative products over reusable buffers that belong to the
-    instance and the calling thread.  The product starts at k_0, or, when
-    S * ln(lam/mu) is large enough that it could overflow from there, at
-    the mode of the distribution, so every instance stays on this route.
+    instance and the calling thread.  The product is anchored at k_0, or,
+    when S * ln(lam/mu) is large enough that it could overflow from there,
+    at the mode of the distribution, so every instance stays on this route.
     Skips validation and the distribution vector.
     """
     return _workspace(inst, get_ident()).b_wq(pol)

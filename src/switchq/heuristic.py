@@ -10,7 +10,8 @@ two extreme policies.
 
 Each walk evaluates through a workspace of its own from ``core``: past the
 first policy it patches the one ratio each move changes into the
-workspace's buffers and evaluates from them itself, so a step makes no
+workspace's buffers and evaluates from them itself, recomputing only the
+half of the product that holds the changed state, so a step makes no
 Python call beyond numpy's.
 """
 
@@ -18,8 +19,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .core import (EPS_B, Instance, Policy, _accumulate, _ModeWorkspace, _new_workspace,
-                   max_backroom_policy, validate_instance)
+from .core import (EPS_B, Instance, Policy, _accumulate, _Workspace, max_backroom_policy,
+                   validate_instance)
 
 # not the solver's EPS_WQ (1e-9), which guards prunes and proofs: with it,
 # 481 of 1,939 measured walks ended on another policy, up to 1e-9 worse in Wq
@@ -70,12 +71,14 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     the buffers.  Every later policy differs from the one before by one +-1
     move, so the walk writes the one ratio that move changes into
     ``step_buf`` and evaluates from the buffers with the workspace's own
-    arithmetic.  On a mode-anchored workspace a move below the mode index
-    leaves the forward half of the product in place.
+    arithmetic.  The product is anchored at k_a (``_Workspace``), and a move
+    recomputes only the half that holds the state it changes: the forward
+    half on a move at or above index a, the backward half on a move at or
+    below it, which never happens while a = 0.
     """
     validate_instance(inst)
     s, n = inst.S, inst.N
-    ws = _new_workspace(inst)
+    ws = _Workspace(inst)
     log: list[HeuristicStep] = []
 
     target = inst.Bl - EPS_B
@@ -97,10 +100,9 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     # k ends in a sentinel -1, so k[j - 1] at j = 0 reads it, and the
     # type-1 test k[j] - k[j - 1] > 1 (can k_j move down?) also covers k_0 > 0
     k = [*pol, -1]
-    rs, step_mv, q_mv = ws.rs, ws.step_mv, ws.q_mv
+    a, rs, step_mv, q_mv = ws.a, ws.rs, ws.step_mv, ws.q_mv
     step_buf, q_buf, ones_t = ws.step_buf, ws.q_buf, ws.ones_t
-    mode = ws.mode if isinstance(ws, _ModeWorkspace) else -1
-    lam, lm, inv_mu, inf = inst.lam, inst.lam / inst.mu, 1.0 / inst.mu, math.inf
+    lam, lm, inv_mu, inf = ws.lam, ws.lm, ws.inv_mu, math.inf
     accumulate = _accumulate
     repair = False  # a decrement broke the requirement: move points up until it holds
     q = None  # no views yet: the first move builds them
@@ -136,36 +138,25 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
             t = k[j]
             k[j] = t - 1
             step_mv[t] = rs[j]  # state t joins segment j
-        # the views change only when an anchor moves: k_0, and k_{mode}
-        if j == 0 or j == mode or q is None:
-            k0 = k[0]
-            if mode < 0:
-                top = s - k0 - 1
-                sv, ot, q = step_buf[k0 + 1:], ones_t[k0 + 1:], q_buf[:top + 1]
-            else:
-                p = k[mode]
-                q_mv[p + 1] = 1.0
-                fwd_s, fwd_q = step_buf[p + 1:], q_buf[p + 2:]
+        # the views change only when an anchor moves: k_0, and k_a
+        if j == 0 or j == a or q is None:
+            k0, p = k[0], k[a]
+            q_mv[p + 1] = 1.0
+            fwd_s, fwd_q = step_buf[p + 1:], q_buf[p + 2:]
+            if a:
                 back_s, back_q = step_buf[p:k0:-1], q_buf[p:k0:-1]
-                q, ot = q_buf[k0 + 1:], ones_t[k0:]
-        # _Workspace.b_wq and _ModeWorkspace.b_wq, term for term
-        if mode < 0:
-            accumulate(sv, out=q)
-            mass, moment = q.dot(ot).tolist()
-            tot = 1.0 + mass
-            p_s = q_mv[top] / tot
-            big_l = (k0 + moment) / tot
-        else:
-            if j >= mode:
-                accumulate(fwd_s, out=fwd_q)
+            q, ot = q_buf[k0 + 1:s + 1], ones_t[k0:s]
+        # _Workspace.b_wq, term for term, but a move changes one state, so
+        # only the half of the product that holds it is recomputed
+        if j >= a:
+            accumulate(fwd_s, out=fwd_q)
+        if a and j <= a:
             accumulate(back_s, out=back_q)
-            tot, moment = q.dot(ot).tolist()
-            p_s = q_mv[s + 1] / tot
-            big_l = moment / tot
-        share = 1.0 - p_s
-        b = n - lm * share
-        admitted = lam * share
-        wq = big_l / admitted - inv_mu if admitted > 0.0 else inf
+        below, moment = q.dot(ot).tolist()
+        q_s = q_mv[s + 1]
+        tot = below + q_s
+        b = n - lm * (below / tot)
+        wq = (moment + s * q_s) / below / lam - inv_mu if tot > q_s else inf
         steps += 1
         if trace:
             log.append(HeuristicStep(tuple(k[:-1]), b, wq, f"{'inc' if repair else 'dec'} k{j}"))

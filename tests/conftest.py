@@ -13,7 +13,7 @@ import pytest
 
 from switchq import (GenSpec, Instance, evaluate_b_wq, generate, max_backroom_policy,
                      min_wait_policy)
-from switchq.core import _ModeWorkspace, _Workspace
+from switchq.core import _Workspace
 from switchq.policies import brute_force_optimum
 import switchq.solver as solver_mod
 from switchq.solver import SolverConfig, solve
@@ -58,9 +58,9 @@ def random_policy(rng: random.Random, inst: Instance) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(inst.S), inst.N))) + (inst.S,)
 
 
-# ROADMAP's known wrong answer (Direction 9): the all-late policy's exact B
-# lies below Bl, so nothing is feasible, but 1 - P(S) cancels under heavy
-# blocking and the evaluator's B for it clears Bl
+# heavy blocking (ROADMAP Direction 9): the all-late policy's exact B lies
+# below Bl, so nothing is feasible, but an admitted share taken as 1 - P(S)
+# cancels and lifts that policy's B above Bl
 HEAVY_BLOCKING_INFEASIBLE = (
     Instance(S=14, N=1, lam=191632210044.58517, mu=4.233670978508806, Bl=6.527762252689074e-07),
     Instance(S=6, N=2, lam=933039882910.346, mu=1.588664805185247, Bl=2.2420145895624658e-05),
@@ -186,8 +186,7 @@ def b_wq_calls(monkeypatch) -> list[int]:
             return method(self, pol)
         return wrapper
 
-    for cls in (_Workspace, _ModeWorkspace):
-        monkeypatch.setattr(cls, "b_wq", counting(cls.__dict__["b_wq"]))
+    monkeypatch.setattr(_Workspace, "b_wq", counting(_Workspace.b_wq))
     return calls
 
 

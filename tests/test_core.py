@@ -15,9 +15,8 @@ from conftest import (EXAMPLE, GOLDEN_B_WQ, _needs_log_space, log_space_pair,
                       near_unit_pair, random_instance, random_policy, rel_close)
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
-                     min_wait_policy, validate_instance, validate_policy)
-from switchq.core import (_log_geom_first_moment, _log_geom_sum, _ModeWorkspace, _Workspace,
-                          _workspace)
+                     min_wait_policy, run_p1, validate_instance, validate_policy)
+from switchq.core import _log_geom_first_moment, _log_geom_sum, _Workspace, _workspace
 from switchq.solver import _MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _eval, solve
 
 
@@ -177,6 +176,18 @@ def test_blocked_solid_returns_infinite_wait():
         assert m.pBlock == 1.0 and m.Wq == math.inf
 
 
+def test_direct_b_is_never_negative_under_extreme_blocking():
+    # B sums the idle workers of each state, so it cannot fall below zero;
+    # taken as N - F it read -8.9e-16 here, a Bl that fails validation
+    inst = Instance(S=10, N=4, lam=1.4022172612485054e+16, mu=26.956007674561086, Bl=0.0)
+    pol = (0, 1, 2, 8, 10)
+    b = evaluate_direct(inst, pol).B
+    assert b >= 0.0
+    validate_instance(dataclasses.replace(inst, Bl=b))
+    assert rel_close(b, _exact_b_wq(inst, pol)[0], 1e-12)
+    assert rel_close(evaluate_b_wq(inst, pol)[0], b, 1e-12)
+
+
 def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
     """B and Wq from the balance recursion in exact rational arithmetic."""
     lam, mu = Fraction(inst.lam), Fraction(inst.mu)
@@ -192,20 +203,38 @@ def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
 
 
 def test_closed_form_is_exact_under_heavy_blocking():
-    # nearly every arrival is lost, so 1 - P(S) is tiny: both oracles sum
-    # the mass below S rather than subtracting P(S) from one
+    # nearly every arrival is lost, so 1 - P(S) is tiny: both oracles, the
+    # workspace at either anchor and the P1 walk's inline steps sum the
+    # mass below S rather than subtracting P(S) from one
     rng = random.Random(59)
-    for _ in range(200):
+    anchors = [0, 0]  # pairs evaluated with the product anchored at k_0, at the mode
+    walked = [0, 0]
+    for t in range(200):
         s = rng.randint(3, 40)
         n = rng.randint(1, min(6, s))
         mu = rng.uniform(0.2, 5.0)
         inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(3.0, 12.0), mu=mu, Bl=0.0)
         pol = random_policy(rng, inst)
         b, wq = _exact_b_wq(inst, pol)
-        for ev in (evaluate_closed_form, evaluate_direct):
-            m = ev(inst, pol)
-            assert rel_close(m.B, b, 1e-12), (ev.__name__, inst, pol)
-            assert rel_close(m.Wq, wq, 1e-12), (ev.__name__, inst, pol, m.Wq, wq)
+        ws = _Workspace(inst)
+        anchors[ws.a > 0] += 1
+        got = [(ev.__name__, ev(inst, pol)) for ev in (evaluate_closed_form, evaluate_direct)]
+        got = [(name, m.B, m.Wq) for name, m in got] + [("b_wq", *ws.b_wq(pol))]
+        for name, mb, mwq in got:
+            assert rel_close(mb, b, 1e-12), (name, inst, pol)
+            assert rel_close(mwq, wq, 1e-12), (name, inst, pol, mwq, wq)
+        if t % 5 == 0:
+            # every step of a walk with Bl at half the all-late policy's B;
+            # on the k_0 anchor most of them break the requirement and repair it
+            late = _exact_b_wq(inst, max_backroom_policy(inst))[0]
+            res = run_p1(dataclasses.replace(inst, Bl=late / 2), trace=True)
+            for st in res.trace:
+                b, wq = _exact_b_wq(inst, st.policy)
+                assert rel_close(st.B, b, 1e-12), (inst, st)
+                assert rel_close(st.Wq, wq, 1e-12), (inst, st)
+            walked[ws.a > 0] += len(res.trace)
+    assert min(anchors) >= 20, anchors
+    assert min(walked) >= 100, walked
 
 
 def _geom_cases(rng: random.Random):
@@ -289,8 +318,8 @@ def test_evaluate_b_wq_wide_agrees_with_oracles():
     ]
     for inst in cases:
         assert inst.S * math.log(inst.lam / inst.mu) > 600
-        assert isinstance(_workspace(inst, threading.get_ident()), _ModeWorkspace)
         mode = _mode_index(inst)
+        assert _workspace(inst, threading.get_ident()).a == mode
         mode_moves = 0
         walk = _walk(rng, inst, 60)
         for prev, pol in zip([None] + walk, walk):
@@ -336,24 +365,26 @@ def _mixed_calls(rng: random.Random, inst: Instance, steps: int):
     return out
 
 
-@pytest.mark.parametrize("inst, cls", [
-    (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), _Workspace),
-    (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), _ModeWorkspace),  # mode at S
-    (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),   # mode 8 < N
+@pytest.mark.parametrize("inst, a", [
+    (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), 0),
+    (Instance(S=300, N=12, lam=20.0, mu=1.0, Bl=0.0), 12),  # anchored at the mode, at S
+    (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), 8),    # anchored at the mode, 8 < N
     # long unmoved tails for the backward scan for the last moved point
-    (Instance(S=130, N=100, lam=100.0, mu=1.0, Bl=0.0), _Workspace),
-    (Instance(S=160, N=100, lam=150.0, mu=1.0, Bl=0.0), _ModeWorkspace),
-])
-def test_workspace_results_depend_on_the_policy_alone(inst, cls):
+    (Instance(S=130, N=100, lam=100.0, mu=1.0, Bl=0.0), 0),
+    (Instance(S=160, N=100, lam=150.0, mu=1.0, Bl=0.0), 100),
+], ids=[  # each anchor named after the class that held it before the two merged
+    "inst0-_Workspace", "inst1-_ModeWorkspace", "inst2-_ModeWorkspace", "inst3-_Workspace",
+    "inst4-_ModeWorkspace"])
+def test_workspace_results_depend_on_the_policy_alone(inst, a):
     # one workspace driven through repeats, patches and bounded rewrites
     # must give exactly what a fresh workspace gives for each policy, and
     # hold the same ratios on the live states k_0+1..S
-    assert isinstance(_workspace(inst, threading.get_ident()), cls)
+    assert _workspace(inst, threading.get_ident()).a == a
     rng = random.Random(61)
-    ws = cls(inst)
+    ws = _Workspace(inst)
     kinds = {}
     for pol, kind in _mixed_calls(rng, inst, 3000):
-        fresh = cls(inst)
+        fresh = _Workspace(inst)
         assert ws.b_wq(pol) == fresh.b_wq(pol), (kind, pol)
         live = slice(pol[0] + 1, None)
         assert ws.step_buf[live].tolist() == fresh.step_buf[live].tolist(), (kind, pol)
@@ -362,11 +393,11 @@ def test_workspace_results_depend_on_the_policy_alone(inst, cls):
     assert min(kinds.get(k, 0) for k in need) >= 20, kinds
 
 
-@pytest.mark.parametrize("inst, cls", [
-    (Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0), _Workspace),
-    (Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0), _ModeWorkspace),
-])
-def test_memo_answers_are_the_computed_ones(inst, cls):
+@pytest.mark.parametrize("inst", [
+    Instance(S=40, N=8, lam=9.0, mu=1.5, Bl=0.0),
+    Instance(S=300, N=12, lam=8.0, mu=1.0, Bl=0.0),  # anchored at the mode
+], ids=["inst0-_Workspace", "inst1-_ModeWorkspace"])  # as above
+def test_memo_answers_are_the_computed_ones(inst):
     # the solver's memo, set up as solve sets it, over a call stream that
     # mixes the workspace's own kinds of moves with returns to policies some
     # calls back, within the memo's reach and beyond it: each answer == a
@@ -381,7 +412,7 @@ def test_memo_answers_are_the_computed_ones(inst, cls):
             pol = seen[-rng.randint(1, min(len(seen), 3 * _MEMO_SIZE))]
         seen.append(pol)
         hits += pol in memo
-        assert _eval(inst, pol, stats) == cls(inst).b_wq(pol), pol
+        assert _eval(inst, pol, stats) == _Workspace(inst).b_wq(pol), pol
         assert len(memo) <= _MEMO_SIZE
     assert len(memo) == _MEMO_SIZE
     assert stats.evaluations == len(stream)

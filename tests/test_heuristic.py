@@ -9,8 +9,7 @@ from types import SimpleNamespace
 from conftest import DESK_SPEC, EXAMPLE, OPT_POLICY, TALL_SPEC, random_instance
 from switchq import core, heuristic
 from switchq import Instance, brute_force_optimum, evaluate_b_wq, generate, run_p1
-from switchq.core import (EPS_B, _ModeWorkspace, _new_workspace, _Workspace, max_backroom_policy,
-                          min_wait_policy)
+from switchq.core import EPS_B, _Workspace, max_backroom_policy, min_wait_policy
 
 # every policy the walk evaluates on EXAMPLE, in order, with its move label
 EXAMPLE_TRACE = [
@@ -217,7 +216,7 @@ def test_wide_walk_matches_fresh_workspaces():
     res = run_p1(inst, trace=True)
     assert res.steps == len(res.trace) == 3451
     for st in res.trace:
-        assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
+        assert (st.B, st.Wq) == _Workspace(inst).b_wq(st.policy), st
 
 
 def test_wide_walk_above_the_mode_matches_fresh_workspaces():
@@ -231,7 +230,7 @@ def test_wide_walk_above_the_mode_matches_fresh_workspaces():
     assert res.steps == len(res.trace) == 5601
     assert sum(int(st.action[5:]) > mode for st in res.trace[1:]) == 2800
     for st in res.trace:
-        assert (st.B, st.Wq) == _ModeWorkspace(inst).b_wq(st.policy), st
+        assert (st.B, st.Wq) == _Workspace(inst).b_wq(st.policy), st
 
 
 def test_walk_owns_its_workspace():
@@ -239,8 +238,7 @@ def test_walk_owns_its_workspace():
     # from them itself, so nothing else may drive that workspace; it leaves
     # evaluate_b_wq's per-thread workspaces alone
     wide = Instance(S=300, N=10, lam=85.0, mu=11.0, Bl=3.0)
-    assert type(_new_workspace(EXAMPLE)) is _Workspace
-    assert type(_new_workspace(wide)) is _ModeWorkspace
+    assert _Workspace(EXAMPLE).a == 0 and _Workspace(wide).a == 7
     core._workspace.cache_clear()
     for inst in (EXAMPLE, wide):
         for trace in (False, True):
@@ -251,9 +249,9 @@ def test_walk_owns_its_workspace():
 # SHA-256 over every step of the traced walks on each suite, one line per
 # step: policy, move label, B.hex(), Wq.hex()
 WALK_DIGESTS = {
-    "desk": (7994, "a954e30a26a251f9df52d0eaefa12b7b664034b00cc86e5bc83064ad535c09cb"),
-    "tall": (15623, "55ad2bc2e520e8933d7d6fc00e4e333da2640c5e388ddb0ad903404ef7136fcd"),
-    "wide": (11953, "dc18a7983cd400c6a97d338825c36a7cdfea454836960ff018d0085899156718"),
+    "desk": (7994, "14c9b360464b2e6ad6fb57783b2775630186f94f5ef9e63c67b0f7cd5c92abba"),
+    "tall": (15623, "3a286ce5b9a15e0074be69173f393866a441ecd2824aa969abdef6c6c2b46efc"),
+    "wide": (11953, "08816056938cb37108a991bb06711d91917cb93b17d53b6c3d0a2957fb929db9"),
 }
 
 # mode-anchored walks whose moves reach above the mode index, up to it, and

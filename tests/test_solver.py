@@ -13,12 +13,13 @@ from conftest import (DESK_SPEC, EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY,
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, evaluate_direct, generate,
                      max_backroom_policy, min_wait_policy, run_p1, search, solve)
-from switchq.core import _ModeWorkspace, _workspace
+from switchq.core import _balance_weights, _workspace
 import switchq.heuristic as heuristic_mod
 import switchq.solver as solver_mod
 from switchq.solver import (_ROOT, _SHORT_RUN, EPS_WQ, Incumbent, SearchStats, SolveTimeout,
                             _Corners, _eval, alternating_shave, bl_gmax_probe,
                             bl_gmin_probe, bl_shave, gmax, gmin, wq_gmin_probe, wq_shave)
+from test_core import _exact_b_wq
 
 HARD = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=2.9)   # nothing is feasible
 EASY = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.1)   # all-early is feasible
@@ -580,10 +581,34 @@ def _recording_consider(monkeypatch):
     return offered
 
 
-def _regime_matrix():
-    """A seeded matrix of instances, three from each evaluator regime."""
+def _one_minus_ps_b(inst, pol):
+    """B with the admitted share taken as 1 - P(S), which cancels under heavy
+    blocking."""
+    q = _balance_weights(inst, pol)
+    return inst.N - inst.lam / inst.mu * (1.0 - q[inst.S] / math.fsum(q))
+
+
+def _heavy_blocking_instance(rng: random.Random) -> Instance:
+    """S 4-14, N <= 4 and lam/mu 1e6-1e12, with Bl midway between the exact
+    B and the 1 - P(S) B of the policy on which those two differ most (at
+    least zero, since the exact B is)."""
+    s = rng.randint(4, 14)
+    n = rng.randint(1, min(4, s))
+    mu = rng.uniform(0.5, 2.0)
+    base = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(6.0, 12.0), mu=mu, Bl=0.0)
+    pols = (head + (s,) for head in itertools.combinations(range(s), n))
+    _, b, c = max((abs(b - c), b, c) for pol in pols
+                  for b, c in [(_exact_b_wq(base, pol)[0], _one_minus_ps_b(base, pol))])
+    return Instance(S=s, N=n, lam=base.lam, mu=mu, Bl=min(max((b + c) / 2, 0.0), n))
+
+
+def _regime_matrix(heavy_blocking: int = 0):
+    """A seeded matrix of instances, three from each evaluator regime, then
+    ``heavy_blocking`` knife edges from ``_heavy_blocking_instance``."""
     rng = random.Random(97)
-    return [(regime, regime_instance(rng, regime)) for regime in REGIMES for _ in range(3)]
+    matrix = [(regime, regime_instance(rng, regime)) for regime in REGIMES for _ in range(3)]
+    return matrix + [("heavy-blocking", _heavy_blocking_instance(rng))
+                     for _ in range(heavy_blocking)]
 
 
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
@@ -686,18 +711,18 @@ def test_wait_corner_subsumes_dominance_cuts():
 # solve
 
 
-@pytest.mark.xfail(strict=True, reason="the admitted share 1 - P(S) cancels under heavy "
-                                       "blocking; see ROADMAP Direction 9")
 def test_heavy_blocking_with_a_large_load_is_infeasible():
+    # the all-late policy's exact B lies below Bl, but only just: a share
+    # taken as 1 - P(S) cancels and lifts it above
     cfgs = [SolverConfig(strategy=s) for s in STRATEGIES] + [SolverConfig(hybrid=True)]
     for inst in HEAVY_BLOCKING_INFEASIBLE:
         assert brute_force_optimum(inst) is None, inst
         assert [solve(inst, cfg).status for cfg in cfgs] == ["infeasible"] * 6, inst
+        assert run_p1(inst).status == "infeasible", inst
 
 
 def test_brute_force_finds_heavy_blocking_infeasible():
-    # the judge's half of the pin above, outside the xfail, so that a judge
-    # that broke on these instances fails here
+    # the judge's half of the pin above
     for inst in HEAVY_BLOCKING_INFEASIBLE:
         assert brute_force_optimum(inst) is None, inst
 
@@ -741,8 +766,9 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
     # a seeded matrix of instances from each evaluator regime: every
     # strategy, plain and hybrid, proves the brute-force optimum, P1 never
     # beats it, and four threads solving the matrix match the serial run
-    # field for field; each regime reaches the path it exists for
-    matrix = _regime_matrix()
+    # field for field; each regime reaches the path it exists for, and the
+    # heavy-blocking knife edges, some of them infeasible, come out right
+    matrix = _regime_matrix(heavy_blocking=6)
     cfgs = [SolverConfig(strategy=s, hybrid=h, time_limit=None)
             for s in STRATEGIES for h in (False, True)]
     rows = {}  # per instance: {d: row size} built
@@ -755,9 +781,19 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_extend_segment", recording_row)
     serial = []
+    infeasible = 0
     for regime, inst in matrix:
         found = brute_force_optimum(inst)
-        assert found is not None, inst
+        if found is None:
+            # only a knife edge under heavy blocking may leave nothing feasible
+            assert regime == "heavy-blocking", inst
+            infeasible += 1
+            for cfg in cfgs:
+                res = solve(inst, cfg)
+                assert res.status == "infeasible", (regime, inst, cfg)
+                serial.append(_fields(res))
+            assert run_p1(inst).status == "infeasible", inst
+            continue
         for cfg in cfgs:
             res = solve(inst, cfg)
             assert res.status == "optimal" and res.proof, (regime, inst, cfg)
@@ -766,8 +802,11 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
         p1 = run_p1(inst)
         assert p1.wq >= found[1] - 1e-9 * max(1.0, found[1]), (regime, inst)
         lrs = [math.log(inst.lam / (i * inst.mu)) for i in range(1, inst.N + 1)]
-        if regime == "wide":
-            assert isinstance(_workspace(inst, threading.get_ident()), _ModeWorkspace)
+        if regime == "heavy-blocking":
+            # the optimum admits almost nobody
+            assert evaluate_direct(inst, found[0]).pBlock > 0.99, inst
+        elif regime == "wide":
+            assert _workspace(inst, threading.get_ident()).a > 0
             # the optimum's q runs past float range, e^709, on the way to S
             peak = max(itertools.accumulate(
                 (found[0][i] - found[0][i - 1]) * lrs[i - 1] for i in range(1, inst.N + 1)))
@@ -781,6 +820,7 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
         else:
             # segments as long as half the capacity, in rows grown to hold them
             assert max(rows[inst].values()) > inst.S // 2, (inst, rows[inst])
+    assert 0 < infeasible < 6, infeasible  # of the six knife edges
     monkeypatch.undo()
     jobs = [(inst, cfg) for _, inst in matrix for cfg in cfgs]
     threaded = [None] * len(jobs)
