@@ -11,21 +11,21 @@ S is.  On the segment served by i workers the state weights are geometric
 in rho_i = lam / (i * mu), so a segment's mass and first moment follow from
 its first state's weight and two per-instance tables indexed by level and
 segment length: the log of sum_{t=1..L} rho_i^t and that sum's mean offset.
-The tables come from recursions with positive terms only, in the ratio
-min(rho_i, 1 / rho_i), so nothing cancels and no power leaves float range.
-A policy's log weights at its switching points are a cumulative sum of
-len_i * log(rho_i); each row is shifted by its largest log mass before
-exponentiating, so no capacity can overflow.  The last segment is split
-into the states below S and state S itself, so the admitted share is the
-mass below S, summed from positive terms, never one minus P(S).  F is the
-sum of the servers on each segment times its mass, never the flow-balance
-identity, and nothing is shared with ``evaluate_b_wq``, the solver or the
-closed form.  The screen only narrows the field: a policy whose B lies
-within the screen's error bound of the back-room target, or whose Wq might
-reach the running minimum, is decided by the direct oracle
-``evaluate_direct``, feasibility first and then in lexicographic order.  The
-answer is therefore the one that oracle gives when run over every policy,
-bit for bit.
+The tables come from ``core._segment_tables``, recursions with positive
+terms only, in the ratio min(rho_i, 1 / rho_i), so nothing cancels and no
+power leaves float range.  A policy's log weights at its switching points
+are a cumulative sum of len_i * log(rho_i); each row is shifted by its
+largest log mass before exponentiating, so no capacity can overflow.  The
+last segment is split into the states below S and state S itself, so the
+admitted share is the mass below S, summed from positive terms, never one
+minus P(S).  F is the sum of the servers on each segment times its mass,
+never the flow-balance identity.  The tables are shared with the closed-form
+oracle only; nothing is shared with ``evaluate_b_wq`` or the solver.  The
+screen only narrows the field: a policy whose B lies within the screen's
+error bound of the back-room target, or whose Wq might reach the running
+minimum, is decided by the direct oracle ``evaluate_direct``, feasibility
+first and then in lexicographic order.  The answer is therefore the one that
+oracle gives when run over every policy, bit for bit.
 """
 
 import itertools
@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .core import EPS_B, Instance, Policy, evaluate_direct, validate_instance
+from .core import EPS_B, Instance, Policy, _segment_tables, evaluate_direct, validate_instance
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -55,36 +55,6 @@ def iter_policies(inst: Instance) -> Iterator[Policy]:
     s = inst.S
     for front in itertools.combinations(range(s), inst.N):
         yield front + (s,)
-
-
-def _segment_tables(log_rho: Sequence[float],
-                    length: int) -> tuple[list[list[float]], list[list[float]]]:
-    """Log mass and mean offset of a geometric segment, per level and length.
-
-    Row i holds the level with ratio rho = exp(log_rho[i]); entry L,
-    0 <= L <= length, holds log(sum_{t=1..L} rho^t) and the mean offset
-    sum_{t=1..L} t * rho^t / sum_{t=1..L} rho^t (-inf and 0 at L = 0).
-    With r = min(rho, 1 / rho) <= 1, G(L) = r * G(L-1) + 1 sums r^u for
-    u < L.  A falling segment (rho <= 1) sums to rho * G(L), with moment
-    rho * A(L), A(L) = r * A(L-1) + G(L); a rising one sums to rho^L * G(L),
-    with moment rho^L * E(L), E(L) = r * E(L-1) + L.  Every step adds
-    positive terms, so nothing cancels and the relative error stays within
-    a few L ulps.
-    """
-    log_sums, offsets = [], []
-    for lr in log_rho:
-        r = math.exp(-abs(lr))
-        rising = lr > 0.0
-        g = m = 0.0
-        row_s, row_o = [-math.inf], [0.0]
-        for t in range(1, length + 1):
-            g = r * g + 1.0
-            m = r * m + (t if rising else g)
-            row_s.append((t * lr if rising else lr) + math.log(g))
-            row_o.append(m / g)
-        log_sums.append(row_s)
-        offsets.append(row_o)
-    return log_sums, offsets
 
 
 def _screen_tolerance(inst: Instance, log_rho: Sequence[float]) -> float:
@@ -120,7 +90,7 @@ class _ScreenTables:
         log_load = math.log(inst.lam) - math.log(inst.mu)
         log_rho = [log_load - math.log(i) for i in range(1, n + 1)]
         width = inst.S - n + 2
-        log_sum, offset = _segment_tables(log_rho, width - 1)
+        log_sum, offset = _segment_tables(log_rho, [width - 1] * n)
         # the idle column and state S read only length 1
         pad = [0.0] * (width - 2)
         lengths = range(width)

@@ -16,7 +16,7 @@ from conftest import (EXAMPLE, GOLDEN_B_WQ, _needs_log_space, log_space_pair,
 from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
                      evaluate_direct, is_feasible, max_backroom_policy,
                      min_wait_policy, run_p1, validate_instance, validate_policy)
-from switchq.core import _log_geom_first_moment, _log_geom_sum, _Workspace, _workspace
+from switchq.core import _segment_tables, _Workspace, _workspace
 from switchq.solver import _MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _eval, solve
 
 
@@ -188,6 +188,28 @@ def test_direct_b_is_never_negative_under_extreme_blocking():
     assert rel_close(evaluate_b_wq(inst, pol)[0], b, 1e-12)
 
 
+def test_closed_form_b_is_never_negative_under_extreme_blocking():
+    # B sums the idle workers of each column, so it cannot fall below zero;
+    # taken as N - F it read -7.5e-15 on the first pair, against an exact
+    # 5.5e-105, and fell below zero on many of the sampled ones
+    inst = Instance(S=14, N=1, lam=3.3205052253491834e+17, mu=1.3937008714357235, Bl=0.0)
+    cases = [(inst, (8, 14))]
+    rng = random.Random(61)
+    for _ in range(300):
+        s = rng.randint(3, 14)
+        n = rng.randint(1, min(4, s))
+        mu = rng.uniform(0.2, 60.0)
+        inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(6.0, 22.0), mu=mu, Bl=0.0)
+        cases.append((inst, random_policy(rng, inst)))
+    for k, (inst, pol) in enumerate(cases):
+        b = evaluate_closed_form(inst, pol).B
+        assert b >= 0.0, (inst, pol, b)
+        validate_instance(dataclasses.replace(inst, Bl=b))
+        if k == 0:
+            exact = _exact_b_wq(inst, pol)[0]
+            assert abs(b - exact) <= 1e-12 * exact, (b, exact)
+
+
 def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
     """B and Wq from the balance recursion in exact rational arithmetic."""
     lam, mu = Fraction(inst.lam), Fraction(inst.mu)
@@ -223,6 +245,10 @@ def test_closed_form_is_exact_under_heavy_blocking():
         for name, mb, mwq in got:
             assert rel_close(mb, b, 1e-12), (name, inst, pol)
             assert rel_close(mwq, wq, 1e-12), (name, inst, pol, mwq, wq)
+            if name != "b_wq" and b > 1e-300:
+                # rel_close is absolute below one; the oracles' B is
+                # accurate relative to its own size
+                assert abs(mb - b) <= 1e-12 * b, (name, inst, pol, mb, b)
         if t % 5 == 0:
             # every step of a walk with Bl at half the all-late policy's B;
             # on the k_0 anchor most of them break the requirement and repair it
@@ -237,32 +263,31 @@ def test_closed_form_is_exact_under_heavy_blocking():
     assert min(walked) >= 100, walked
 
 
-def _geom_cases(rng: random.Random):
-    """(r, n): random ratios below, above and within a hair of one, then both
-    sides of the first moment's near-one window and of one, at short runs
-    where the quotient forms cancel most."""
-    for _ in range(120):
-        n = rng.randint(1, 200)
-        yield rng.choice([rng.uniform(0.2, 3.0),
-                          1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-14, -1)]), n
-    for d in (1e-14, 1e-9, 1e-6, 0.999e-3, 1.001e-3, 3e-3, 0.3):
-        for r in (1.0 - d, 1.0 + d):
-            for n in (1, 2, 3, 4, 10, 200):
-                yield r, n
-
-
-def test_geom_sum_matches_exact_fractions():
-    for r, n in _geom_cases(random.Random(37)):
-        fr = Fraction(r)
-        acc = Fraction(1)
-        exact_sum = Fraction(0)
-        exact_fm = Fraction(0)
-        for t in range(n):
-            exact_sum += acc
-            exact_fm += t * acc
-            acc *= fr
-        assert rel_close(math.exp(_log_geom_sum(r, n)), float(exact_sum), 1e-12), (r, n)
-        assert rel_close(math.exp(_log_geom_first_moment(r, n)), float(exact_fm), 1e-11), (r, n)
+def test_segment_tables_match_exact_sums():
+    # ratios far from one; within a hair of one, where quotient forms of
+    # these sums cancel most; on both sides of 1 +- 1e-3; and further out.
+    # Each row is built to its own run length and read at every entry; far
+    # from one the rows stop at 60 states, where the sums stay in float range
+    cases = [(rho, (1, 2, 3, 4, 10, 60)) for rho in (1e3, 1e-3)]
+    for d in (1e-14, 1e-9, 1e-6, 0.999e-3, 1e-3, 1.001e-3, 3e-3, 0.3):
+        cases += [(rho, (1, 2, 3, 4, 10, 200)) for rho in (1.0 + d, 1.0 - d)]
+    for rho, lens in cases:
+        log_sums, offsets = _segment_tables([math.log(rho)] * len(lens), lens)
+        r = acc = Fraction(rho)
+        exact = [None]  # (sum, mean offset) of rho^t for t = 1..L
+        total = moment = Fraction(0)
+        for t in range(1, max(lens) + 1):
+            total += acc
+            moment += t * acc
+            acc *= r
+            exact.append((total, moment / total))
+        for length, log_sum, offset in zip(lens, log_sums, offsets):
+            assert len(log_sum) == len(offset) == length + 1
+            assert log_sum[0] == -math.inf and offset[0] == 0.0
+            for t in range(1, length + 1):
+                total, mean = exact[t]
+                assert abs(Fraction(math.exp(log_sum[t])) / total - 1) <= 1e-12, (rho, t)
+                assert abs(Fraction(offset[t]) / mean - 1) <= 1e-12, (rho, t)
 
 
 def test_evaluate_b_wq_matches_full_metrics():
