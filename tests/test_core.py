@@ -263,12 +263,18 @@ def test_closed_form_is_exact_under_heavy_blocking():
     assert min(walked) >= 100, walked
 
 
-def test_segment_tables_match_exact_sums():
-    # ratios far from one; within a hair of one, where quotient forms of
-    # these sums cancel most; on both sides of 1 +- 1e-3; and further out.
-    # Each row is built to its own run length and read at every entry; far
-    # from one the rows stop at 60 states, where the sums stay in float range
+def test_geom_sum_matches_exact_fractions():
+    # ratios far from one; random ones below, above and within a hair of
+    # one, where quotient forms of these sums cancel most; on both sides of
+    # 1 +- 1e-3; and further out. Each row is built to its own run length
+    # and read at every entry; far from one the rows stop at 60 states,
+    # where the sums stay in float range
     cases = [(rho, (1, 2, 3, 4, 10, 60)) for rho in (1e3, 1e-3)]
+    rng = random.Random(37)
+    for _ in range(40):
+        rho = rng.choice([rng.uniform(0.2, 3.0),
+                          1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-14, -1)])
+        cases.append((rho, (1, rng.randint(2, 200))))
     for d in (1e-14, 1e-9, 1e-6, 0.999e-3, 1e-3, 1.001e-3, 3e-3, 0.3):
         cases += [(rho, (1, 2, 3, 4, 10, 200)) for rho in (1.0 + d, 1.0 - d)]
     for rho, lens in cases:

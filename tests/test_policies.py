@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import (EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY, WQ_OPT, ra
 from switchq import (ENUMERATION_LIMIT, Instance, brute_force_optimum,
                      evaluate_direct, is_feasible, iter_policies,
                      max_backroom_policy, min_wait_policy, policy_count)
-from switchq.core import EPS_B, validate_policy
+from switchq.core import EPS_B, _segment_tables, validate_policy
 from switchq.policies import _screen, _ScreenTables
 
 
@@ -129,6 +130,21 @@ def test_brute_force_matches_scalar_reference():
     blocked = [evaluate_direct(inst, brute_force_optimum(inst, eps_b=eps_b)[0]).pBlock
                for inst, eps_b in heavy]
     assert min(blocked) > 0.5 and max(blocked) > 0.9, (min(blocked), max(blocked))
+
+
+def test_segment_tables_match_exact_sums():
+    # the screen's tables: one row per worker level, all to the same length
+    length = 60
+    for rho in (1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-3, 1.0 - 1e-3, 1e3, 1e-3):
+        (log_sum,), (offset,) = _segment_tables([math.log(rho)], [length])
+        assert log_sum[0] == -math.inf and offset[0] == 0.0
+        r = Fraction(rho)
+        total = moment = Fraction(0)
+        for t in range(1, length + 1):
+            total += r ** t
+            moment += t * r ** t
+            assert abs(Fraction(math.exp(log_sum[t])) / total - 1) <= 1e-12, (rho, t)
+            assert abs(Fraction(offset[t]) / (moment / total) - 1) <= 1e-12, (rho, t)
 
 
 def _screen_every_policy(inst):
