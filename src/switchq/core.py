@@ -20,11 +20,12 @@ switching points, always in log space.  Its segment sums come from a
 recursion that adds positive terms only, in whichever of rho and 1/rho is at
 most one, so no ratio near one needs a special case; the brute-force judge
 reads the same tables.  Both oracles sum B from the idle workers of each
-state and the admitted share 1 - P(S) from the mass of the states below S, so
-neither subtracts.  They must agree to near machine precision, and the test
-suite leans on that redundancy.  The hot route, ``evaluate_b_wq``, runs the
-recursion as cumulative products over a reusable workspace, anchored at one
-switching point, and sums the same mass.
+state and the admitted share 1 - P(S) from the mass of the states below S.
+They must agree to near machine precision, and the test suite leans on that
+redundancy.  The hot route, ``evaluate_b_wq``, runs the recursion as
+cumulative products over a reusable workspace, anchored at one switching
+point, and sums the same mass; so do the P1 walk's inline steps and search's
+carried corners.  No route subtracts the admitted share from one.
 """
 
 import math
@@ -87,6 +88,8 @@ def validate_instance(inst: Instance) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not math.isfinite(value) or value <= 0:
             raise ValueError(f"{name} must be a finite positive rate, got {value!r}")
+    if not math.isfinite(inst.lam / inst.mu):
+        raise ValueError(f"lam / mu must be finite, got lam={inst.lam!r}, mu={inst.mu!r}")
     if not isinstance(inst.Bl, (int, float)) or isinstance(inst.Bl, bool) \
             or not math.isfinite(inst.Bl) or not 0 <= inst.Bl <= inst.N:
         raise ValueError(f"Bl must lie in [0, N], got {inst.Bl!r} with N={inst.N}")
@@ -327,7 +330,8 @@ class _Workspace:
         # flow balance: admissions lam*(1 - P(S)) match completions mu*F,
         # because the count never drops below the number of workers serving
         wq = (moment + s * q_s) / below / self.lam - self.inv_mu if tot > q_s else math.inf
-        return self.n - self.lm * (below / tot), wq
+        # B rounds a few ulps below zero where the exact B is tiny: clamp it
+        return max(self.n - self.lm * (below / tot), 0.0), wq
 
 
 @lru_cache(maxsize=32)

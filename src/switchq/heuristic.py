@@ -159,7 +159,10 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
         wq = (moment + s * q_s) / below / lam - inv_mu if tot > q_s else inf
         steps += 1
         if trace:
-            log.append(HeuristicStep(tuple(k[:-1]), b, wq, f"{'inc' if repair else 'dec'} k{j}"))
+            # B clamped at zero, as b_wq returns it; the test below reads b,
+            # which a few ulps under zero meets Bl - EPS_B whenever zero does
+            log.append(HeuristicStep(tuple(k[:-1]), max(b, 0.0), wq,
+                                     f"{'inc' if repair else 'dec'} k{j}"))
         if b < target:
             if not repair:
                 big_j = j

@@ -12,8 +12,9 @@ The two use different evaluators.  A probe fixes one index in a box that
 changes after every shave, so it splices its corner into a policy tuple and
 evaluates it with ``evaluate_b_wq`` through the solve's memo.  Search keeps
 the box fixed and extends one prefix at a time, so it carries each prefix's
-mass and first moment in closed form and completes it from tables of
-geometric sums: every corner and leaf then costs O(1), whatever S and N are.
+mass and first moment in closed form and completes it with a (scale, mass
+below S, moment, q(S)) built from tables of geometric sums: every corner and
+leaf then costs O(1), whatever S and N are, and none subtracts P(S) from one.
 ``_Corners`` holds those tables; the arithmetic that extends a prefix and
 gives a corner's B and Wq is written out in ``search``'s node loop, so a
 node calls nothing but the clock, save a table miss or an improving leaf.
@@ -366,7 +367,6 @@ def alternating_shave(inst: Instance, store: DomainStore, inc: Incumbent,
 
 
 _ROOT = (1.0, 0.0, 0.0)  # the carried empty prefix, before k_0
-_EMPTY = (1.0, 0.0, 0.0, 1.0)  # the completion past k_N = S: nothing more
 
 
 def _extend_segment(inst: Instance, d: int, row: list, size: int) -> None:
@@ -420,14 +420,14 @@ class _Corners:
     Only ratios of these reach B and Wq, so the scale itself is not kept.
     A child with k_d = v extends a prefix ending at k_{d-1} = a by entry
     v - a of segment row d.  A corner is a prefix completed along the box:
-    the completion from k_{d-1} = a is (al, be, ga, si), so that the
-    corner's mass, moment and q(S) are M*al + Q*be, W*al + Q*ga and Q*si,
-    up to a common factor, from which the workspace's flow-balance formulas
-    give B and Wq.  ``search`` does both steps inline.  ``upper`` completes
-    along hi (gmax); ``lower`` packs upward from a and then follows lo
-    (gmin); from k_{N-1}, both complete a leaf with segment N up to S.  A
-    completion is built on first use from the next point's (``complete``),
-    so each costs O(1) once per search, and so does every corner after it.
+    the completion from k_{d-1} = a is (al, bb, ga, si), its scale, mass
+    below S, moment and q(S), so the corner's mass below S, moment and q(S)
+    are M*al + Q*bb, W*al + Q*ga and Q*si up to a common factor, and the
+    workspace's formulas give B and Wq.  ``search`` does both inline.
+    ``upper`` completes along hi (gmax), ``lower`` packs upward from a, then
+    follows lo (gmin); from k_{N-1}, both complete a leaf with segment N,
+    the only one to reach S.  A completion is built on first use from the
+    next point's (``complete``): O(1) once per search, as is every corner.
 
     Segment rows start as long as the first segment asked for and at least
     double whenever a longer one is, so a search pays for the segments it
@@ -466,15 +466,18 @@ class _Corners:
             x = hi_x[d] if upward else max(a + 1, lo_x[d])
             chain.append((i, d, x - a, a))
             d, a = d + 1, x
-        else:
-            got = _EMPTY
         for i, d, length, a in reversed(chain):
             row = seg[d]
             if length >= len(row):
                 _extend_segment(self.inst, d, row, min(max(length + 1, 2 * len(row)), self.s + 2))
             p, sc, g1, g2 = row[length]
-            al, be, ga, si = got
-            got = rows[i] = (sc * al, g1 * al + p * be, (a * g1 + g2) * al + p * ga, p * si)
+            if d == n:
+                # segment N alone reaches S: the states below it are entry
+                # L - 1's, rescaled to entry L by row[1]'s S (1/r or 1)
+                got = rows[i] = (sc, row[length - 1][2] * row[1][1], a * g1 + g2, p)
+            else:
+                al, bb, ga, si = got
+                got = rows[i] = (sc * al, g1 * al + p * bb, (a * g1 + g2) * al + p * ga, p * si)
         return got
 
 
@@ -526,13 +529,11 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
             nodes += 1
             evaluations += 1
             i = a + off[d]
-            al, be, ga, si = upper[i] or complete(upper, d, a)
-            tot = m * al + q * be
-            share = 1.0 - q * si / tot  # admitted, 1 - P(S)
-            b = n - lm * share
+            al, bb, ga, si = upper[i] or complete(upper, d, a)
+            below = m * al + q * bb  # the corner's mass below S
+            b = n - lm * (below / (below + q * si))
             if d == n:
-                if b >= target and share > 0.0 and \
-                        (w * al + q * ga) / tot / (lam * share) - inv_mu < best:
+                if b >= target and below > 0.0 and (w * al + q * ga) / below / lam - inv_mu < best:
                     # an improvement keeps the evaluator's (B, Wq) for its
                     # policy, not the carried one; improvements are rare
                     pol = (*ks, s)
@@ -543,10 +544,9 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
                         best = inc.wq - EPS_WQ
             elif b >= target:
                 evaluations += 1
-                al, be, ga, si = lower[i] or complete(lower, d, a)
-                tot = m * al + q * be
-                share = 1.0 - q * si / tot
-                if share > 0.0 and (w * al + q * ga) / tot / (lam * share) - inv_mu < best:
+                al, bb, ga, _ = lower[i] or complete(lower, d, a)
+                below = m * al + q * bb
+                if below > 0.0 and (w * al + q * ga) / below / lam - inv_mu < best:
                     if od >= 0:
                         path[od] = (oa, oq, om, ow, v, top, row)
                     od, oa, oq, om, ow = d, a, q, m, w

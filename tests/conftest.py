@@ -16,7 +16,7 @@ from switchq import (GenSpec, Instance, evaluate_b_wq, generate, max_backroom_po
 from switchq.core import _Workspace
 from switchq.policies import brute_force_optimum
 import switchq.solver as solver_mod
-from switchq.solver import SolverConfig, solve
+from switchq.solver import _ROOT, SolverConfig, solve
 
 # canonical worked example: S=6, N=3, lam=15, mu=3, Bl=0.32
 EXAMPLE = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.32)
@@ -145,6 +145,41 @@ def _needs_log_space(inst: Instance, pol: tuple[int, ...]) -> bool:
             if lx > _LOG_SPACE_LIMIT:
                 return True
     return False
+
+
+# references for search's carried arithmetic (``solver._Corners``)
+
+
+def _child(corners, parent, d, a, v):
+    """Reference for search's inline step: the carried prefix of parent,
+    which ends with k_{d-1} = a, and k_d = v.  Row d already holds entry
+    v - a: the parent's upward completion, built before any child, reached
+    k_d = hi[d] >= v."""
+    p, sc, g1, g2 = corners.seg[d][v - a]
+    q, m, w = parent
+    return q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
+
+
+def _corner_b_wq(corners, prefix, completion):
+    """Reference for search's inline corner: B and Wq of the corner that
+    completion makes of prefix, by the workspace's formulas on its mass
+    below S."""
+    inst = corners.inst
+    q, m, w = prefix
+    al, bb, ga, si = completion
+    below = m * al + q * bb
+    wq = (w * al + q * ga) / below / inst.lam - 1.0 / inst.mu if below > 0.0 else math.inf
+    return inst.N - inst.lam / inst.mu * (below / (below + q * si)), wq
+
+
+def _carried(corners, head):
+    """The prefix search carries for head, and its last value; as in search,
+    each node's upward completion is built before its child."""
+    prefix, a = _ROOT, -1
+    for d, v in enumerate(head):
+        corners.complete(corners.upper, d, a)
+        prefix, a = _child(corners, prefix, d, a, v), v
+    return prefix, a
 
 
 @pytest.fixture(scope="session")

@@ -11,13 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (EXAMPLE, GOLDEN_B_WQ, _needs_log_space, log_space_pair,
-                      near_unit_pair, random_instance, random_policy, rel_close)
-from switchq import (Instance, evaluate_b_wq, evaluate_closed_form,
-                     evaluate_direct, is_feasible, max_backroom_policy,
-                     min_wait_policy, run_p1, validate_instance, validate_policy)
+from conftest import (EXAMPLE, GOLDEN_B_WQ, _carried, _corner_b_wq, _needs_log_space,
+                      log_space_pair, near_unit_pair, random_instance, random_policy, rel_close)
+from switchq import (DomainStore, Instance, brute_force_optimum, evaluate_b_wq,
+                     evaluate_closed_form, evaluate_direct, is_feasible,
+                     max_backroom_policy, min_wait_policy, read_instances, run_p1,
+                     validate_instance, validate_policy)
 from switchq.core import _segment_tables, _Workspace, _workspace
-from switchq.solver import _MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _eval, solve
+from switchq.solver import (_MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _Corners,
+                            _eval, gmax, gmin, solve)
 
 
 def test_validate_instance_accepts_example():
@@ -210,6 +212,33 @@ def test_closed_form_b_is_never_negative_under_extreme_blocking():
             assert abs(b - exact) <= 1e-12 * exact, (b, exact)
 
 
+def test_workspace_b_is_never_negative_under_extreme_blocking():
+    # taken as N - (lam/mu) * (1 - P(S)), B read -4.4e-16 here against an
+    # exact 5.9e-48; the workspace clamps it at zero, and so do the walk's
+    # steps, so either gives a Bl that validates
+    inst = Instance(S=7, N=3, lam=3027424466838.017, mu=1.5739851748698983, Bl=0.0)
+    b = evaluate_b_wq(inst, (0, 2, 3, 7))[0]
+    assert b >= 0.0
+    validate_instance(dataclasses.replace(inst, Bl=b))
+    for st in run_p1(inst, trace=True).trace:
+        assert st.B >= 0.0, st
+        validate_instance(dataclasses.replace(inst, Bl=st.B))
+
+
+def test_overflowing_load_is_rejected(tmp_path):
+    # lam / mu = 1e310 leaves float range: the direct recursion and the
+    # workspace read B = nan there, so every entry point refuses it
+    inst = Instance(S=3, N=1, lam=1e300, mu=1e-10, Bl=0.0)
+    for entry in (validate_instance, solve, run_p1, brute_force_optimum):
+        with pytest.raises(ValueError, match="lam / mu must be finite"):
+            entry(inst)
+    path = tmp_path / "over.txt"
+    path.write_text("# S N lam mu Bl\n3 1 1" + "0" * 300 + ".0 0.0000000001 0.0\n",
+                    encoding="ascii")
+    with pytest.raises(ValueError, match="line 2: lam / mu must be finite"):
+        read_instances(path)
+
+
 def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
     """B and Wq from the balance recursion in exact rational arithmetic."""
     lam, mu = Fraction(inst.lam), Fraction(inst.mu)
@@ -226,11 +255,13 @@ def _exact_b_wq(inst: Instance, pol: tuple[int, ...]) -> tuple[float, float]:
 
 def test_closed_form_is_exact_under_heavy_blocking():
     # nearly every arrival is lost, so 1 - P(S) is tiny: both oracles, the
-    # workspace at either anchor and the P1 walk's inline steps sum the
-    # mass below S rather than subtracting P(S) from one
+    # workspace at either anchor, the P1 walk's inline steps and search's
+    # carried corners sum the mass below S rather than subtracting P(S)
+    # from one
     rng = random.Random(59)
     anchors = [0, 0]  # pairs evaluated with the product anchored at k_0, at the mode
     walked = [0, 0]
+    cornered = 0
     for t in range(200):
         s = rng.randint(3, 40)
         n = rng.randint(1, min(6, s))
@@ -249,6 +280,19 @@ def test_closed_form_is_exact_under_heavy_blocking():
                 # rel_close is absolute below one; the oracles' B is
                 # accurate relative to its own size
                 assert abs(mb - b) <= 1e-12 * b, (name, inst, pol, mb, b)
+        # the carried upward corner of each prefix of pol, and the downward
+        # one of each but the leaf: B within 1e-12, Wq within 1e-12 of
+        # itself, or of the service time 1/mu where it is exactly zero
+        store = DomainStore.initial(inst)
+        corners = _Corners(inst, store)
+        for d in range(n + 1):
+            prefix, a = _carried(corners, pol[:d])
+            for rows, corner in [(corners.upper, gmax)] + [(corners.lower, gmin)] * (d < n):
+                cb, cwq = _corner_b_wq(corners, prefix, corners.complete(rows, d, a))
+                b, wq = _exact_b_wq(inst, corner(inst, store, pol[:d]))
+                assert abs(cb - b) <= 1e-12 and abs(cwq - wq) <= 1e-12 * (wq or 1.0 / inst.mu), \
+                    (inst, pol[:d], cb, b, cwq, wq)
+                cornered += 1
         if t % 5 == 0:
             # every step of a walk with Bl at half the all-late policy's B;
             # on the k_0 anchor most of them break the requirement and repair it
@@ -261,6 +305,7 @@ def test_closed_form_is_exact_under_heavy_blocking():
             walked[ws.a > 0] += len(res.trace)
     assert min(anchors) >= 20, anchors
     assert min(walked) >= 100, walked
+    assert cornered >= 1000, cornered
 
 
 def test_geom_sum_matches_exact_fractions():

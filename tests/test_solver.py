@@ -9,14 +9,15 @@ import time
 import pytest
 
 from conftest import (DESK_SPEC, EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY, REGIMES,
-                      WQ_OPT, random_instance, random_policy, regime_instance, rel_close)
+                      WQ_OPT, _carried, _corner_b_wq, random_instance, random_policy,
+                      regime_instance, rel_close)
 from switchq import (EPS_B, DomainStore, Instance, SolverConfig, STRATEGIES,
                      brute_force_optimum, evaluate_b_wq, evaluate_direct, generate,
                      max_backroom_policy, min_wait_policy, run_p1, search, solve)
 from switchq.core import _balance_weights, _workspace
 import switchq.heuristic as heuristic_mod
 import switchq.solver as solver_mod
-from switchq.solver import (_ROOT, _SHORT_RUN, EPS_WQ, Incumbent, SearchStats, SolveTimeout,
+from switchq.solver import (_SHORT_RUN, EPS_WQ, Incumbent, SearchStats, SolveTimeout,
                             _Corners, _eval, alternating_shave, bl_gmax_probe,
                             bl_gmin_probe, bl_shave, gmax, gmin, wq_gmin_probe, wq_shave)
 from test_core import _exact_b_wq
@@ -284,47 +285,17 @@ def test_segment_rows_extended_in_steps_match_one_built_at_once():
         assert steps == whole and len(whole) == size, (inst, d)
 
 
-def _child(corners, parent, d, a, v):
-    """Reference for search's inline step: the carried prefix of parent,
-    which ends with k_{d-1} = a, and k_d = v.  Row d already holds entry
-    v - a: the parent's upward completion, built before any child, reached
-    k_d = hi[d] >= v."""
-    p, sc, g1, g2 = corners.seg[d][v - a]
-    q, m, w = parent
-    return q * p, m * sc + q * g1, w * sc + q * (a * g1 + g2)
-
-
-def _corner_b_wq(corners, prefix, completion):
-    """Reference for search's inline corner: B and Wq of the corner that
-    completion makes of prefix, by the workspace's flow-balance formulas."""
-    inst = corners.inst
-    q, m, w = prefix
-    al, be, ga, si = completion
-    tot = m * al + q * be
-    share = 1.0 - q * si / tot  # admitted, 1 - P(S)
-    wq = (w * al + q * ga) / tot / (inst.lam * share) - 1.0 / inst.mu if share > 0.0 else math.inf
-    return inst.N - inst.lam / inst.mu * share, wq
-
-
-def _carried(corners, head):
-    """The prefix search carries for head, and its last value; as in search,
-    each node's upward completion is built before its child."""
-    prefix, a = _ROOT, -1
-    for d, v in enumerate(head):
-        corners.complete(corners.upper, d, a)
-        prefix, a = _child(corners, prefix, d, a, v), v
-    return prefix, a
-
-
 def test_carried_corners_match_spliced_evaluations():
     # search's closed-form gmax, gmin and leaf corners give evaluate_b_wq's
-    # B and Wq on the spliced tuples, in every regime, on random normalized
-    # boxes (shrunk ones too) and prefixes drawn the way search branches;
-    # no carried corner is inf or nan
+    # B and Wq on the spliced tuples, in every regime and under heavy
+    # blocking with lam/mu up to 1e12, on random normalized boxes (shrunk
+    # ones too) and prefixes drawn the way search branches; no carried
+    # corner is inf or nan
     rng = random.Random(89)
     draws = {"ordinary": lambda r: random_instance(r, 2, 40), "large": _large_instance,
              **{name: (lambda r, name=name: regime_instance(r, name)) for name in REGIMES},
-             "deep": lambda r: Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0)}
+             "deep": lambda r: Instance(S=1400, N=1200, lam=1150.0, mu=1.0, Bl=0.0),
+             "heavy-blocking": _heavy_blocking_base}
     checked = dict.fromkeys(draws, 0)
     widest = 0.0
     for name, draw in draws.items():
@@ -588,34 +559,41 @@ def _one_minus_ps_b(inst, pol):
     return inst.N - inst.lam / inst.mu * (1.0 - q[inst.S] / math.fsum(q))
 
 
-def _heavy_blocking_instance(rng: random.Random) -> Instance:
-    """S 4-14, N <= 4 and lam/mu 1e6-1e12, with Bl midway between the exact
-    B and the 1 - P(S) B of the policy on which those two differ most (at
-    least zero, since the exact B is)."""
+def _heavy_blocking_base(rng: random.Random) -> Instance:
+    """S 4-14, N <= 4 and lam/mu 1e6-1e12, with Bl = 0."""
     s = rng.randint(4, 14)
     n = rng.randint(1, min(4, s))
     mu = rng.uniform(0.5, 2.0)
-    base = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(6.0, 12.0), mu=mu, Bl=0.0)
+    return Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(6.0, 12.0), mu=mu, Bl=0.0)
+
+
+def _heavy_blocking_instance(rng: random.Random) -> Instance:
+    """An instance of ``_heavy_blocking_base``, with Bl midway between the
+    exact B and the 1 - P(S) B of the policy on which those two differ most
+    (at least zero, since the exact B is)."""
+    base = _heavy_blocking_base(rng)
+    s, n, mu = base.S, base.N, base.mu
     pols = (head + (s,) for head in itertools.combinations(range(s), n))
     _, b, c = max((abs(b - c), b, c) for pol in pols
                   for b, c in [(_exact_b_wq(base, pol)[0], _one_minus_ps_b(base, pol))])
     return Instance(S=s, N=n, lam=base.lam, mu=mu, Bl=min(max((b + c) / 2, 0.0), n))
 
 
-def _regime_matrix(heavy_blocking: int = 0):
+def _regime_matrix():
     """A seeded matrix of instances, three from each evaluator regime, then
-    ``heavy_blocking`` knife edges from ``_heavy_blocking_instance``."""
+    six knife edges from ``_heavy_blocking_instance``."""
     rng = random.Random(97)
     matrix = [(regime, regime_instance(rng, regime)) for regime in REGIMES for _ in range(3)]
-    return matrix + [("heavy-blocking", _heavy_blocking_instance(rng))
-                     for _ in range(heavy_blocking)]
+    return matrix + [("heavy-blocking", _heavy_blocking_instance(rng)) for _ in range(6)]
 
 
 def test_search_visits_nodes_in_recursive_order(monkeypatch, desk_suite):
     # the same counts, the same improving leaves offered to the incumbent in
     # the same order, the same incumbent with the same Wq and the same restart
     # point as the recursive descent over spliced corner tuples; on the
-    # regime matrix too, so no carried inf or nan turns a prune decision
+    # regime matrix too, so no carried inf or nan turns a prune decision,
+    # and on its heavy-blocking knife edges, where a carried admitted share
+    # taken as 1 - P(S) cancels and offers a leaf the evaluator rejects
     rng = random.Random(83)
     offered = _recording_consider(monkeypatch)
     cases = desk_suite[:100] + [random_instance(rng, 3, 12) for _ in range(60)]
@@ -768,7 +746,7 @@ def test_every_regime_agrees_with_brute_force(monkeypatch):
     # beats it, and four threads solving the matrix match the serial run
     # field for field; each regime reaches the path it exists for, and the
     # heavy-blocking knife edges, some of them infeasible, come out right
-    matrix = _regime_matrix(heavy_blocking=6)
+    matrix = _regime_matrix()
     cfgs = [SolverConfig(strategy=s, hybrid=h, time_limit=None)
             for s in STRATEGIES for h in (False, True)]
     rows = {}  # per instance: {d: row size} built
