@@ -25,7 +25,9 @@ They must agree to near machine precision, and the test suite leans on that
 redundancy.  The hot route, ``evaluate_b_wq``, runs the recursion as
 cumulative products over a reusable workspace, anchored at one switching
 point, and sums the same mass; so do the P1 walk's inline steps and search's
-carried corners.  No route subtracts the admitted share from one.
+carried corners.  No route subtracts the admitted share from one.  Each
+``evaluate_b_wq`` call rewrites the ratio of every state its policy can
+reach, so no answer depends on an earlier call.
 """
 
 import math
@@ -40,7 +42,7 @@ EPS_B = 1e-9
 
 _RESCALE_HI = 1e100
 _CUMPROD_LIMIT = 600.0  # S * ln(lam/mu) beyond this: a product from k_0 may overflow
-_LONG_RUN = 64  # workspace rewrites of more states than this go through np.repeat
+_LONG_RUN = 64  # workspace fills of more states than this go through np.repeat
 
 Policy = tuple[int, ...]
 
@@ -219,14 +221,12 @@ class _Workspace:
     one.  Whether a state lies at or below k_a depends only on its segment,
     so ``rs`` stores inverse ratios on the first a segments.
 
-    step_buf[t] holds the ratio into state t, t = k_0 + 1..S, for the policy
-    of the previous call.  Each call rewrites only the states whose segment
-    changed (``_sync``); those ratios are a function of the policy alone, and
-    so is the result.  A P1 walk calls ``b_wq`` once, for its first policy;
-    after that it writes the one ratio each of its +-1 moves changes into
-    step_buf and evaluates from the buffers itself (``heuristic.run_p1``),
-    so ``last`` no longer tracks the buffers and nothing else may call
-    ``b_wq`` on that workspace.
+    step_buf[t] holds the ratio into state t.  Each call first rewrites it
+    for every live state t = k_0 + 1..S (``_fill``), so its result is a
+    function of the policy alone, whatever the buffers held before.  A P1
+    walk calls ``b_wq`` once, for its first policy, then patches the one
+    ratio each of its +-1 moves changes and evaluates from the buffers
+    itself (``heuristic.run_p1``).
 
     The hot path avoids numpy's per-call overhead where the result cannot
     change: slice views are cached, the dot product is the array method
@@ -235,7 +235,7 @@ class _Workspace:
     """
 
     __slots__ = ("s", "n", "lam", "mu", "lm", "inv_mu", "a", "rs", "rs_arr", "ones_t",
-                 "step_buf", "q_buf", "step_mv", "q_mv", "views", "last")
+                 "step_buf", "q_buf", "step_mv", "q_mv", "views")
 
     def __init__(self, inst: Instance):
         self.s, self.n, self.lam, self.mu = inst.S, inst.N, inst.lam, inst.mu
@@ -252,61 +252,26 @@ class _Workspace:
         self.step_mv = memoryview(self.step_buf)
         self.q_mv = memoryview(self.q_buf)
         self.views: dict[int, tuple] = {}  # per k_0; the buffers never move
-        self.last: Policy | None = None
 
-    def _sync(self, pol: Policy) -> None:
-        """Bring step_buf from the previous call's policy to pol.
+    def _fill(self, pol: Policy) -> None:
+        """Write pol's ratio into every live state k_0 + 1..S of step_buf.
 
-        A state changes segment only between the first and the last moved
-        switching points, f and l: both policies agree on which points lie
-        below a state at or below min(old k_f, new k_f), and on which lie
-        above a state past max(old k_l, new k_l).  So a call rewrites just
-        the states in between, taking each ratio from pol's segments; a +-1
-        move is a one-state range, a repeat of the previous policy rewrites
-        nothing, and a fresh workspace fills (k_0, S].  f and l are found by
-        plain scans, forward from k_0 and backward from k_{N-1}; the
-        backward scan stops at f at the latest, since something moved.
-        Short ranges are written state by state through the memoryview;
-        past _LONG_RUN states, one np.repeat over the segment lengths is
-        cheaper.
+        Runs of up to _LONG_RUN states are written state by state through
+        the memoryview; longer ones by one np.repeat over the segment
+        lengths, which costs more per call but less per state.
         """
-        last = self.last
-        self.last = pol
-        if last is None:
-            i, t, j, end = 0, pol[0], self.n - 1, self.s
-        else:
-            f = 0
-            try:
-                while pol[f] == last[f]:
-                    f += 1
-            except IndexError:  # the scan passed k_N = S: nothing moved
-                return
-            l = self.n - 1
-            while pol[l] == last[l]:  # stops at f at the latest
-                l -= 1
-            # states t + 1..end change; t + 1 lies on segment i and end on
-            # segment j of pol, segment i being (k_i, k_{i+1}]
-            if f == 0 or pol[f] < last[f]:
-                i, t = f, pol[f]
-            else:
-                i, t = f - 1, last[f]
-            if pol[l] > last[l]:
-                j, end = l - 1, pol[l]
-            else:
-                j, end = l, last[l]
-        if end - t > _LONG_RUN:
-            self.step_buf[t + 1:end + 1] = self.rs_arr[i:j + 1].repeat(
-                np.diff((t, *pol[i + 1:j + 1], end)))
+        t = pol[0]
+        if self.s - t > _LONG_RUN:
+            self.step_buf[t + 1:] = self.rs_arr.repeat(np.diff(pol))
             return
-        mv, rs = self.step_mv, self.rs
-        while t < end:
-            t += 1
-            if t > pol[i + 1]:
-                i += 1
-            mv[t] = rs[i]
+        mv = self.step_mv
+        for r, k in zip(self.rs, pol[1:]):
+            while t < k:
+                t += 1
+                mv[t] = r
 
     def b_wq(self, pol: Policy) -> tuple[float, float]:
-        self._sync(pol)
+        self._fill(pol)
         a, s, q_mv = self.a, self.s, self.q_mv
         k0, p = pol[0], pol[a]
         # per k_0, built for one k_a: the views stay valid while k_a holds still
@@ -432,9 +397,11 @@ def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:
     through the solve's memo; search's improving leaves; ``generate``'s
     screening; and ``bench``'s fallback wait.  Runs the balance recursion
     as cumulative products over reusable buffers that belong to the
-    instance and the calling thread.  The product is anchored at k_0, or,
-    when S * ln(lam/mu) is large enough that it could overflow from there,
-    at the mode of the distribution, so every instance stays on this route.
-    Skips validation and the distribution vector.
+    instance and the calling thread; every call rewrites the ratios of the
+    live states k_0 + 1..S, so no earlier call can change its answer.  The
+    product is anchored at k_0, or, when S * ln(lam/mu) is large enough that
+    it could overflow from there, at the mode of the distribution, so every
+    instance stays on this route.  Skips validation and the distribution
+    vector.
     """
     return _workspace(inst, get_ident()).b_wq(pol)

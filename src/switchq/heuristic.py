@@ -8,8 +8,9 @@ feasibility, which keeps the walk from cycling forever.  The best feasible
 policy seen is returned; it is guaranteed optimal only when it is one of the
 two extreme policies.
 
-Each walk evaluates through a workspace of its own from ``core``: past the
-first policy it patches the one ratio each move changes into the
+Each walk evaluates through a workspace of its own from ``core``: its
+first policy goes through the workspace's ``b_wq``, which fills every live
+state.  Past it the walk patches the one ratio each move changes into the
 workspace's buffers and evaluates from them itself, recomputing only the
 half of the product that holds the changed state, so a step makes no
 Python call beyond numpy's.
@@ -68,13 +69,13 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
     after a repair, but J shrinks each time, so it always terminates.
 
     The all-late policy goes through the workspace's ``b_wq``, which fills
-    the buffers.  Every later policy differs from the one before by one +-1
-    move, so the walk writes the one ratio that move changes into
-    ``step_buf`` and evaluates from the buffers with the workspace's own
-    arithmetic.  The product is anchored at k_a (``_Workspace``), and a move
-    recomputes only the half that holds the state it changes: the forward
-    half on a move at or above index a, the backward half on a move at or
-    below it, which never happens while a = 0.
+    the ratio of every live state.  Every later policy differs from the one
+    before by one +-1 move, so the walk writes the one ratio that move
+    changes into ``step_buf`` and evaluates from the buffers with the
+    workspace's own arithmetic.  The product is anchored at k_a
+    (``_Workspace``), and a move recomputes only the half that holds the
+    state it changes: the forward half on a move at or above index a, the
+    backward half on a move at or below it, which never happens while a = 0.
     """
     validate_instance(inst)
     s, n = inst.S, inst.N
