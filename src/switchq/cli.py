@@ -187,21 +187,21 @@ def _write_rows(path, cls, rows) -> None:
         w.writerows(map(astuple, rows))
 
 
+def _read_rows(path, cls) -> list:
+    """The rows _write_rows wrote, each cell turned back by its field's annotation."""
+    cell = {int: int, float: float, str: str, bool: lambda c: c == "True",
+            float | None: lambda c: float(c) if c else None}
+    with open(path, newline="") as fh:
+        return [cls(**{f.name: cell[f.type](row[f.name]) for f in fields(cls)})
+                for row in csv.DictReader(fh)]
+
+
 def write_records(path, records) -> None:
     _write_rows(path, SuiteRecord, records)
 
 
 def read_records(path) -> list[SuiteRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(SuiteRecord(
-                instance_id=int(row["instance_id"]), method=row["method"],
-                status=row["status"], wq=float(row["wq"]) if row["wq"] else None,
-                proof=row["proof"] == "True", elapsed_s=float(row["elapsed_s"]),
-                nodes=int(row["nodes"]), evals=int(row["evals"])))
-    return out
+    return _read_rows(path, SuiteRecord)
 
 
 def write_trace_points(path, points) -> None:
@@ -209,14 +209,7 @@ def write_trace_points(path, points) -> None:
 
 
 def read_trace_points(path) -> list[TracePoint]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(TracePoint(instance_id=int(row["instance_id"]),
-                                  method=row["method"], t_s=float(row["t_s"]),
-                                  wq=float(row["wq"])))
-    return out
+    return _read_rows(path, TracePoint)
 
 
 def trace_path(out_csv) -> Path:
@@ -229,10 +222,7 @@ def trace_path(out_csv) -> Path:
 
 
 def _load_instance(path: str, index: int) -> Instance:
-    try:
-        insts = read_instances(path)
-    except (OSError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    insts = read_instances(path)
     if not 0 <= index < len(insts):
         raise _CliError(f"index {index} out of range; file holds {len(insts)} instances")
     return insts[index]
@@ -253,10 +243,7 @@ def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance_file, args.index)
     pol = _parse_policy(args.policy)
     evaluator = evaluate_direct if args.method == "direct" else evaluate_closed_form
-    try:
-        m = evaluator(inst, pol)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    m = evaluator(inst, pol)
     print(f"policy {_fmt_policy(pol)}")
     for name, value in (("F", m.F), ("B", m.B), ("L", m.L), ("Wq", m.Wq),
                         ("pBlock", m.pBlock)):
@@ -284,10 +271,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance_file, args.index)
     cfg = SolverConfig(strategy=args.strategy, hybrid=args.hybrid,
                        time_limit=args.time_limit)
-    try:
-        res = solve(inst, cfg)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    res = solve(inst, cfg)
     if res.status == "infeasible":
         print("infeasible")
         return EXIT_INFEASIBLE
@@ -303,10 +287,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = _load_instance(args.instance_file, args.index)
-    try:
-        found = brute_force_optimum(inst)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    found = brute_force_optimum(inst)
     if found is None:
         print("infeasible")
         return EXIT_INFEASIBLE
@@ -322,20 +303,18 @@ def _cmd_generate(args) -> int:
     except ValueError:
         raise _CliError(f"bad capacity list {args.s!r}") from None
     spec = GenSpec(s_values=s_values, per_s_count=args.count, seed=args.seed)
-    try:
-        insts = generate(spec)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    insts = generate(spec)
     write_instances(args.out, insts)
     print(f"wrote {len(insts)} instances to {args.out}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    try:
-        insts = read_instances(args.instance_file)
-    except (OSError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    # fail before the rows run, not on the write after them
+    out_dir = Path(args.out_csv).parent
+    if not out_dir.is_dir():
+        raise _CliError(f"output directory {out_dir} does not exist")
+    insts = read_instances(args.instance_file)
     methods = tuple(part.strip() for part in args.methods.split(",") if part.strip())
     if not methods:
         raise _CliError("no methods given")
@@ -347,10 +326,7 @@ def _cmd_bench(args) -> int:
     if not all(t >= 0.0 for t in checkpoints):  # NaN fails this too
         raise _CliError(f"checkpoints must be nonnegative numbers of seconds, "
                         f"got {args.checkpoints!r}")
-    try:
-        records, traces = run_suite(insts, methods, args.time_limit, args.workers)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    records, traces = run_suite(insts, methods, args.time_limit, args.workers)
     write_records(args.out_csv, records)
     write_trace_points(trace_path(args.out_csv), traces)
     best = best_known_table(insts, records)
@@ -369,32 +345,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="switchq",
                      description="worker-switching policies: evaluate, search, benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance-file", required=True)
+    instance.add_argument("--index", type=int, required=True)
 
-    p = sub.add_parser("eval", help="evaluate one policy on one instance")
-    p.add_argument("--instance-file", required=True)
-    p.add_argument("--index", type=int, required=True)
+    p = sub.add_parser("eval", parents=[instance], help="evaluate one policy on one instance")
     p.add_argument("--policy", required=True,
                    help="comma-separated switching points ending in S, e.g. 0,1,2,6")
     p.add_argument("--method", choices=("direct", "closed"), default="direct")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("heuristic", help="run the switching heuristic")
-    p.add_argument("--instance-file", required=True)
-    p.add_argument("--index", type=int, required=True)
+    p = sub.add_parser("heuristic", parents=[instance], help="run the switching heuristic")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=_cmd_heuristic)
 
-    p = sub.add_parser("solve", help="search for a provably optimal policy")
-    p.add_argument("--instance-file", required=True)
-    p.add_argument("--index", type=int, required=True)
+    p = sub.add_parser("solve", parents=[instance], help="search for a provably optimal policy")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--hybrid", action="store_true")
     p.add_argument("--time-limit", type=float, default=600.0, metavar="SECONDS")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("brute", help="enumerate the whole policy space")
-    p.add_argument("--instance-file", required=True)
-    p.add_argument("--index", type=int, required=True)
+    p = sub.add_parser("brute", parents=[instance], help="enumerate the whole policy space")
     p.set_defaults(func=_cmd_brute)
 
     p = sub.add_parser("generate", help="draw benchmark instances")
@@ -419,20 +390,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # the package rejects bad input with ValueError, the CLI with _CliError
     try:
-        args = parser.parse_args(argv)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -258,11 +258,14 @@ class _Workspace:
 
         Runs of up to _LONG_RUN states are written state by state through
         the memoryview; longer ones by one np.repeat over the segment
-        lengths, which costs more per call but less per state.
+        lengths, which costs more per call but less per state.  The policy
+        is converted once at a fixed dtype: np.diff of the tuple would pay
+        for discovering one.
         """
         t = pol[0]
         if self.s - t > _LONG_RUN:
-            self.step_buf[t + 1:] = self.rs_arr.repeat(np.diff(pol))
+            k = np.array(pol, dtype=np.intp)
+            self.step_buf[t + 1:] = self.rs_arr.repeat(k[1:] - k[:-1])
             return
         mv = self.step_mv
         for r, k in zip(self.rs, pol[1:]):

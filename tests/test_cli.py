@@ -370,6 +370,18 @@ def test_bench_rejects_empty_method_list(small_file, tmp_path):
                  "--time-limit", "1", "--out-csv", str(tmp_path / "x.csv")]) == 1
 
 
+def test_bench_checks_its_output_directory_first(small_file, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("run_suite ran although the output directory is missing")
+
+    monkeypatch.setattr(cli_mod, "run_suite", never)
+    out_csv = tmp_path / "missing" / "b.csv"
+    assert main(["bench", "--instance-file", small_file, "--methods", "p1",
+                 "--time-limit", "1", "--out-csv", str(out_csv)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.txt"]
+
+
 def test_infinite_wq_never_appears(small_file):
     insts = read_instances(small_file)
     records, _ = run_suite(insts, ("alt-shave",), 30.0)

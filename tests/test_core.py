@@ -476,6 +476,10 @@ def test_workspace_results_depend_on_the_policy_alone(inst, a):
     assert _workspace(inst, threading.get_ident()).a == a
     rng, strays = random.Random(61), random.Random(62)
     ws = _Workspace(inst)
+    # and hold the ratios built here from the policy alone, without _fill:
+    # each state of (k_{i-1}, k_i] gets lam/(i*mu), inverted for i <= a
+    ratios = [inst.lam / (i * inst.mu) for i in range(1, inst.N + 1)]
+    ratios = [1.0 / r if i < a else r for i, r in enumerate(ratios)]
     kinds = {}
     for pol, kind in _mixed_calls(rng, inst, 3000):
         if strays.random() < 0.15:
@@ -485,6 +489,8 @@ def test_workspace_results_depend_on_the_policy_alone(inst, a):
         assert ws.b_wq(pol) == fresh.b_wq(pol), (kind, pol)
         live = slice(pol[0] + 1, None)
         assert ws.step_buf[live].tolist() == fresh.step_buf[live].tolist(), (kind, pol)
+        want = [r for r, lo, hi in zip(ratios, pol, pol[1:]) for _ in range(lo, hi)]
+        assert ws.step_buf[live].tolist() == want, (kind, pol)
         kinds[kind] = kinds.get(kind, 0) + 1
     need = ["repeat", "step", "jump", "tail jump", "middle jump", "stray, repeat", "stray, step"]
     assert min(kinds.get(k, 0) for k in need) >= 20, kinds
