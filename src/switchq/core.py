@@ -25,9 +25,12 @@ They must agree to near machine precision, and the test suite leans on that
 redundancy.  The hot route, ``evaluate_b_wq``, runs the recursion as
 cumulative products over a reusable workspace, anchored at one switching
 point, and sums the same mass; so do the P1 walk's inline steps and search's
-carried corners.  No route subtracts the admitted share from one.  Each
-``evaluate_b_wq`` call rewrites the ratio of every state its policy can
-reach, so no answer depends on an earlier call.
+carried corners.  No route subtracts the admitted share from one.  Wq is
+the mean sojourn minus 1/mu, which can round a few ulps below zero where
+the exact Wq is zero or tiny, so the three routes and the P1 walk clamp it
+at zero, as the hot route clamps B; search's carried Wq only prunes and
+stays unclamped.  Each ``evaluate_b_wq`` call rewrites the ratio of every
+state its policy can reach, so no answer depends on an earlier call.
 """
 
 import math
@@ -187,7 +190,7 @@ def evaluate_direct(inst: Instance, pol: Policy) -> Metrics:
     big_l = math.fsum(t * p[t] for t in range(k0, s + 1))
     admitted = lam * math.fsum(p[k0:s]) if p[s] < 1.0 else 0.0
     wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return Metrics(p=p, F=f, B=b, L=big_l, Wq=wq, pBlock=p[s])
+    return Metrics(p=p, F=f, B=b, L=big_l, Wq=0.0 if wq < 0.0 else wq, pBlock=p[s])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +301,9 @@ class _Workspace:
         # flow balance: admissions lam*(1 - P(S)) match completions mu*F,
         # because the count never drops below the number of workers serving
         wq = (moment + s * q_s) / below / self.lam - self.inv_mu if tot > q_s else math.inf
-        # B rounds a few ulps below zero where the exact B is tiny: clamp it
-        return max(self.n - self.lm * (below / tot), 0.0), wq
+        # B and Wq round a few ulps below zero where the exact value is
+        # tiny or zero: clamp both
+        return max(self.n - self.lm * (below / tot), 0.0), 0.0 if wq < 0.0 else wq
 
 
 @lru_cache(maxsize=32)
@@ -390,7 +394,8 @@ def evaluate_closed_form(inst: Instance, pol: Policy) -> Metrics:
     p[s] = p_s
     admitted = lam * (math.fsum(w[:-1]) / tot) if p_s < 1.0 else 0.0
     wq = big_l / admitted - 1.0 / mu if admitted > 0.0 else math.inf
-    return Metrics(p=p, F=f / tot, B=b / tot, L=big_l, Wq=wq, pBlock=p_s)
+    return Metrics(p=p, F=f / tot, B=b / tot, L=big_l, Wq=0.0 if wq < 0.0 else wq,
+                   pBlock=p_s)
 
 
 def evaluate_b_wq(inst: Instance, pol: Policy) -> tuple[float, float]:

@@ -118,7 +118,8 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
             if j == big_j:
                 break
             if deadline is not None and clock() > deadline:
-                return HeuristicResult("timeout", tuple(best_pol), best_wq, steps, log)
+                return HeuristicResult("timeout", tuple(best_pol),
+                                       0.0 if best_wq < 0.0 else best_wq, steps, log)
             if j < floor:
                 floor = j
             t = k[j] + 1
@@ -129,7 +130,8 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
             if steps > cap:
                 raise RuntimeError("heuristic exceeded its move budget; this is a bug")
             if deadline is not None and clock() > deadline:
-                return HeuristicResult("timeout", tuple(best_pol), best_wq, steps, log)
+                return HeuristicResult("timeout", tuple(best_pol),
+                                       0.0 if best_wq < 0.0 else best_wq, steps, log)
             j = floor
             while j < big_j and k[j] - k[j - 1] <= 1:
                 j += 1
@@ -160,9 +162,10 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
         wq = (moment + s * q_s) / below / lam - inv_mu if tot > q_s else inf
         steps += 1
         if trace:
-            # B clamped at zero, as b_wq returns it; the test below reads b,
-            # which a few ulps under zero meets Bl - EPS_B whenever zero does
-            log.append(HeuristicStep(tuple(k[:-1]), max(b, 0.0), wq,
+            # B and Wq clamped at zero, as b_wq returns them; the tests below
+            # read them raw: b a few ulps under zero meets Bl - EPS_B whenever
+            # zero does, and IMPROVE_EPS dwarfs Wq's ulps
+            log.append(HeuristicStep(tuple(k[:-1]), max(b, 0.0), 0.0 if wq < 0.0 else wq,
                                      f"{'inc' if repair else 'dec'} k{j}"))
         if b < target:
             if not repair:
@@ -173,4 +176,5 @@ def run_p1(inst: Instance, deadline: float | None = None, *,
         repair = False
         if wq < best_wq - IMPROVE_EPS:
             best_pol, best_wq = k[:-1], wq
-    return HeuristicResult("solved", tuple(best_pol), best_wq, steps, log)
+    return HeuristicResult("solved", tuple(best_pol), 0.0 if best_wq < 0.0 else best_wq,
+                           steps, log)

@@ -5,7 +5,9 @@ point.  Corner completions bound what the box can hold: completing every free
 variable downward gives the smallest waiting time in the box, completing
 upward gives the largest back-room coverage.  Probing one variable at an end
 of its domain and completing the rest therefore either proves that end value
-useless (a shave) or produces a feasible policy worth recording.  Search
+useless (a shave) or produces a feasible policy worth recording.  A probe
+never empties a domain: where the end value is the only one left, it ends
+the shaving with a proof instead, so every box is nonempty.  Search
 branches over the shaved box with the same corner bounds as pruning rules.
 
 The two use different evaluators.  A probe fixes one index in a box that
@@ -49,16 +51,17 @@ class SolveTimeout(Exception):
 class DomainStore:
     """Integer ranges for the movable switching points k_0..k_{N-1}.
 
-    Every store is normalized: construction and each shrink raise lo and
-    lower hi until both are strictly increasing, which drops only values no
-    ordered policy can take; an empty range marks the store failed.  The
-    corner completions below rely on this, and on the box lying in
-    [0, S - 1] as ``initial`` makes it.
+    Every store is normalized and nonempty: construction and each shrink
+    raise lo and lower hi until both are strictly increasing, which drops
+    only values no ordered policy can take, and a range that would end up
+    empty raises ValueError instead.  The probes shave an end value only
+    when the domain keeps another, so no box a solve builds or shrinks is
+    ever empty.  The corner completions below rely on this, and on the box
+    lying in [0, S - 1] as ``initial`` makes it.
     """
 
     lo: list[int]
     hi: list[int]
-    failed: bool = False
 
     def __post_init__(self) -> None:
         self._normalize()
@@ -69,7 +72,7 @@ class DomainStore:
         return cls(lo=list(range(n)), hi=[s - n + i for i in range(n)])
 
     def copy(self) -> "DomainStore":
-        return DomainStore(list(self.lo), list(self.hi), self.failed)
+        return DomainStore(list(self.lo), list(self.hi))
 
     def snapshot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(self.lo), tuple(self.hi)
@@ -82,13 +85,14 @@ class DomainStore:
     # same box in O(N).  Only the shaved index can empty: each cascaded
     # bound sits one step inside its neighbour's, and lo (or hi) is strictly
     # increasing, so a cascaded range is no emptier than the shaved one.
+    # A bound that would empty it raises before anything moves.
 
     def shrink_hi(self, i: int, new_hi: int) -> None:
         hi = self.hi
         if new_hi < hi[i]:
-            hi[i] = new_hi
             if new_hi < self.lo[i]:
-                self.failed = True
+                raise ValueError(f"k_{i} <= {new_hi} empties [{self.lo[i]}, {hi[i]}]")
+            hi[i] = new_hi
             while i > 0 and hi[i - 1] >= hi[i]:
                 i -= 1
                 hi[i] = hi[i + 1] - 1
@@ -96,9 +100,9 @@ class DomainStore:
     def raise_lo(self, i: int, new_lo: int) -> None:
         lo = self.lo
         if new_lo > lo[i]:
-            lo[i] = new_lo
             if new_lo > self.hi[i]:
-                self.failed = True
+                raise ValueError(f"k_{i} >= {new_lo} empties [{lo[i]}, {self.hi[i]}]")
+            lo[i] = new_lo
             last = len(lo) - 1
             while i < last and lo[i + 1] <= lo[i]:
                 i += 1
@@ -113,7 +117,7 @@ class DomainStore:
             if self.hi[i] > self.hi[i + 1] - 1:
                 self.hi[i] = self.hi[i + 1] - 1
         if any(self.lo[i] > self.hi[i] for i in range(n)):
-            self.failed = True
+            raise ValueError(f"empty domain in lo {self.lo}, hi {self.hi}")
 
 
 @dataclass(slots=True)
@@ -183,7 +187,7 @@ def _eval(inst: Instance, pol: Policy, stats: SearchStats) -> tuple[float, float
     return res
 
 
-def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy | None:
+def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy:
     """Smallest policy in the box with k_start.. fixed to head.
 
     head must be strictly increasing and inside its domains, as search's
@@ -191,15 +195,13 @@ def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
     completion is lo[:start], then head, then a run packed upward from head's
     last value until it meets lo, then the rest of lo: the same policy as a
     left-to-right sweep taking the lowest value each domain allows, built by
-    splicing.  Returns None on a failed store.
+    splicing.  The box is nonempty, so the completion always exists.
 
     The run puts w + t - u at index t, from u = start + len(head), while
     lo[t] - t < w - u.  lo is strictly increasing, so lo[t] - t never
     decreases: a run that reaches _SHORT_RUN steps past u is bisected, and
     a shorter one is walked.
     """
-    if store.failed:
-        return None
     lo = store.lo
     n = len(lo)
     t = u = start + len(head)
@@ -215,7 +217,7 @@ def gmin(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
     return (*lo[:start], *head, *range(w, v), *lo[t:], inst.S)
 
 
-def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy | None:
+def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) -> Policy:
     """Largest policy in the box with k_start.. fixed to head.
 
     Mirror image of gmin: hi up to a run packed downward to head's first
@@ -225,8 +227,6 @@ def gmax(inst: Instance, store: DomainStore, head: Policy = (), start: int = 0) 
     puts w - u + t at index t, down from u = start - 1, while
     hi[t] - t > w - u, and is bisected like gmin's.
     """
-    if store.failed:
-        return None
     hi = store.hi
     t = u = start - 1
     v = w = head[0] - 1 if head else inst.S - 1
@@ -256,8 +256,6 @@ def bl_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     """
     stats.shave_iterations += 1
     pol = gmin(inst, store, (store.hi[i],), i)
-    if pol is None:
-        return "stuck"
     b, wq = _eval(inst, pol, stats)
     if b >= inst.Bl - EPS_B:
         inc.consider(pol, wq)
@@ -279,8 +277,6 @@ def bl_gmax_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     """
     stats.shave_iterations += 1
     pol = gmax(inst, store, (store.lo[i],), i)
-    if pol is None:
-        return "stuck"
     b, wq = _eval(inst, pol, stats)
     if b >= inst.Bl - EPS_B:
         inc.consider(pol, wq)
@@ -300,8 +296,6 @@ def wq_gmin_probe(inst: Instance, store: DomainStore, i: int, inc: Incumbent,
     """
     stats.shave_iterations += 1
     pol = gmin(inst, store, (store.hi[i],), i)
-    if pol is None:
-        return "stuck"
     _, wq = _eval(inst, pol, stats)
     if wq >= inc.wq - EPS_WQ:
         if store.hi[i] - 1 >= store.lo[i]:
@@ -321,8 +315,6 @@ def _shave(probes, inst: Instance, store: DomainStore, inc: Incumbent,
     while True:
         changed = False
         for i in range(inst.N):
-            if store.failed:
-                return "proof"
             for probe in probes:
                 while True:
                     if deadline is not None and time.perf_counter() > deadline:
@@ -497,8 +489,6 @@ def search(inst: Instance, store: DomainStore, inc: Incumbent, stats: SearchStat
     Adds the visited nodes and evaluations to stats on every exit, and
     raises SolveTimeout at the deadline.
     """
-    if store.failed:
-        return False
     n, s = inst.N, inst.S
     lo, hi = store.lo, store.hi
     target = inst.Bl - EPS_B

@@ -210,7 +210,7 @@ def test_criterion_10_shaving_soundness(capsys, desk_suite, desk_brute):
             inc = Incumbent()
             inc.consider(late, late_wq)
             drive(inst, store, inc, SearchStats())
-            if not store.failed and store.contains(best_pol):
+            if store.contains(best_pol):
                 kept_in_box += 1
             elif inc.wq <= best_wq + 1e-9 * max(1.0, best_wq):
                 value_attained += 1

@@ -308,6 +308,35 @@ def test_closed_form_is_exact_under_heavy_blocking():
     assert cornered >= 1000, cornered
 
 
+def _light_traffic_pairs(count):
+    """Seeded light-traffic (instance, policy) pairs: S 2-30, lam/mu from
+    1e-12 to 10, where Wq sits near or at zero."""
+    rng = random.Random(1)
+    for _ in range(count):
+        s = rng.randint(2, 30)
+        mu = rng.uniform(0.5, 5.0)
+        inst = Instance(S=s, N=rng.randint(1, s), lam=mu * 10.0 ** rng.uniform(-12, 1), mu=mu,
+                        Bl=0.0)
+        yield inst, random_policy(rng, inst)
+
+
+def test_wq_is_never_negative():
+    # Wq is the mean sojourn minus 1/mu, which rounds a few ulps below zero
+    # where the exact Wq is zero or tiny; every route clamps it at zero
+    cases = [(Instance(S=3, N=3, lam=2.0, mu=1.0, Bl=0.1), (0, 1, 2, 3)),
+             (Instance(S=5, N=5, lam=50.0, mu=1.0, Bl=0.0), (0, 1, 2, 3, 4, 5)),
+             *_light_traffic_pairs(3000)]
+    for inst, pol in cases:
+        got = (evaluate_b_wq(inst, pol)[1], evaluate_direct(inst, pol).Wq,
+               evaluate_closed_form(inst, pol).Wq)
+        assert all(wq >= 0.0 for wq in got), (inst, pol, got)
+    inst = cases[0][0]
+    assert brute_force_optimum(inst)[1] >= 0.0
+    assert solve(inst).wq >= 0.0
+    res = run_p1(inst, trace=True)
+    assert res.wq >= 0.0 and res.trace and all(step.Wq >= 0.0 for step in res.trace)
+
+
 @pytest.mark.xfail(strict=True, reason="every route forms Wq as the mean sojourn minus 1/mu, "
                                        "which cancels when Wq is far below 1/mu")
 def test_wq_keeps_its_relative_accuracy_in_light_traffic():

@@ -28,10 +28,8 @@ EASY = Instance(S=6, N=3, lam=15.0, mu=3.0, Bl=0.1)   # all-early is feasible
 
 def sweep_gmin(inst, store, fixed=None):
     """Reference downward corner: sweep left to right taking the lowest value
-    each domain still allows, honoring fixed assignments; None when no
-    completion exists."""
-    if store.failed:
-        return None
+    each domain still allows, honoring fixed assignments; None when the
+    fixed values leave no completion."""
     ks = []
     prev = -1
     for i in range(inst.N):
@@ -53,8 +51,6 @@ def sweep_gmin(inst, store, fixed=None):
 def sweep_gmax(inst, store, fixed=None):
     """Reference upward corner: the mirror sweep, right to left, taking the
     highest value each domain still allows below its successor."""
-    if store.failed:
-        return None
     n = inst.N
     ks = [0] * n
     nxt = inst.S
@@ -89,7 +85,6 @@ def fresh_parts(inst, seed_late=True):
 def test_initial_domains():
     store = DomainStore.initial(EXAMPLE)
     assert store.lo == [0, 1, 2] and store.hi == [3, 4, 5]
-    assert not store.failed
     assert store.contains(OPT_POLICY) and store.contains((3, 4, 5, 6))
     assert not store.contains((4, 5, 6, 6))
 
@@ -101,14 +96,27 @@ def test_shrink_and_raise_propagate():
     store = DomainStore.initial(EXAMPLE)
     store.raise_lo(0, 2)
     assert store.lo == [2, 3, 4]   # lower bounds cascade rightward
-    assert not store.failed
 
 
-def test_empty_domain_marks_failed():
-    store = DomainStore.initial(EXAMPLE)
+def test_emptying_a_domain_raises():
+    # a shrink that would empty the shaved range raises and moves nothing,
+    # not even the neighbours it would cascade to; so does a constructor
+    # whose normalizing leaves an empty range
+    store = DomainStore.initial(EXAMPLE)   # lo [0, 1, 2], hi [3, 4, 5]
+    for shrink, i, bound in ((store.shrink_hi, 1, 0), (store.raise_lo, 1, 5)):
+        with pytest.raises(ValueError):
+            shrink(i, bound)
+        assert store.snapshot() == ((0, 1, 2), (3, 4, 5))
     store.raise_lo(0, 3)
-    store.shrink_hi(2, 4)
-    assert store.failed
+    assert store.snapshot() == ((3, 4, 5), (3, 4, 5))
+    for shrink, i, bound in ((store.shrink_hi, 2, 4), (store.raise_lo, 0, 4),
+                             (store.shrink_hi, 0, 2), (store.raise_lo, 2, 6)):
+        with pytest.raises(ValueError):
+            shrink(i, bound)
+        assert store.snapshot() == ((3, 4, 5), (3, 4, 5))
+    for lo, hi in (([2, 0], [2, 2]), ([3, 0], [5, 3]), ([0, 0], [5, 0])):
+        with pytest.raises(ValueError):
+            DomainStore(lo=lo, hi=hi)
 
 
 def test_copy_is_independent():
@@ -121,8 +129,7 @@ def test_copy_is_independent():
 
 def test_constructor_normalizes():
     store = DomainStore(lo=[0, 0, 0], hi=[5, 5, 5])
-    assert store.lo == [0, 1, 2] and store.hi == [3, 4, 5] and not store.failed
-    assert DomainStore(lo=[2, 0], hi=[2, 2]).failed
+    assert store.lo == [0, 1, 2] and store.hi == [3, 4, 5]
     # search on the normalized store matches search on the initial box
     runs = []
     for store in (DomainStore(lo=[0, 0, 0], hi=[5, 5, 5]), DomainStore.initial(EXAMPLE)):
@@ -134,36 +141,39 @@ def test_constructor_normalizes():
 
 
 def test_cascading_shrinks_match_a_full_normalize():
-    # shrink_hi and raise_lo cascade from the shaved index only; the box and
-    # the failed flag must be what a full _normalize of the same bound gives
+    # shrink_hi and raise_lo cascade from the shaved index only; a shrink
+    # raises exactly when a full _normalize of the same bound finds an empty
+    # range, and leaves the box as it was, and otherwise gives its box
     rng = random.Random(67)
-    kinds = {"cascade": 0, "fails": 0, "already failed": 0}
-    for _ in range(6000):
+    kinds = {"cascade": 0, "rejected": 0}
+    for _ in range(9000):
         n = rng.randint(1, 10)
         s = rng.randint(n + 1, 3 * n + 4)
         lo = sorted(rng.sample(range(s), n))
-        hi = sorted(rng.sample(range(s), n))
-        if rng.random() < 0.8:   # else the store may start failed
-            hi = [max(a, b) for a, b in zip(lo, hi)]
+        hi = [max(a, b) for a, b in zip(lo, sorted(rng.sample(range(s), n)))]
         store = DomainStore(lo, hi)
-        was_failed = store.failed
+        before = store.snapshot()
         i = rng.randrange(n)
         ref = store.copy()
-        lo, hi = sorted((store.lo[i], store.hi[i]))
-        bound = rng.randint(lo - 2, hi + 2)
+        bound = rng.randint(store.lo[i] - 2, store.hi[i] + 2)
         if rng.random() < 0.5:
-            store.shrink_hi(i, bound)
+            shrink = store.shrink_hi
             ref.hi[i] = min(ref.hi[i], bound)
-            moved = store.hi != ref.hi
         else:
-            store.raise_lo(i, bound)
+            shrink = store.raise_lo
             ref.lo[i] = max(ref.lo[i], bound)
-            moved = store.lo != ref.lo
-        ref._normalize()
-        assert (store.lo, store.hi, store.failed) == (ref.lo, ref.hi, ref.failed)
-        kinds["cascade"] += moved
-        kinds["fails"] += store.failed and not was_failed
-        kinds["already failed"] += was_failed
+        bound_only = ref.snapshot()
+        try:
+            ref._normalize()
+        except ValueError:
+            with pytest.raises(ValueError):
+                shrink(i, bound)
+            assert store.snapshot() == before
+            kinds["rejected"] += 1
+            continue
+        shrink(i, bound)
+        assert store.snapshot() == ref.snapshot()
+        kinds["cascade"] += store.snapshot() != bound_only
     assert min(kinds.values()) >= 300, kinds
 
 
@@ -193,34 +203,38 @@ def test_corners_honor_fixed_values():
 
 def _random_store(rng, inst, max_shrinks=None):
     """The initial box after a few random shrinks, up to 2N by default; now
-    and then one empties a domain and the store fails."""
+    and then one would empty a domain, and must raise and leave the box as
+    it was."""
     store = DomainStore.initial(inst)
     for _ in range(rng.randint(0, 2 * inst.N if max_shrinks is None else max_shrinks)):
         i = rng.randrange(inst.N)
         lo, hi = store.lo[i], store.hi[i]
         if rng.random() < 0.5:
-            store.shrink_hi(i, lo - 1 if rng.random() < 0.02 else rng.randint(lo, hi))
+            shrink, empty = store.shrink_hi, lo - 1
         else:
-            store.raise_lo(i, hi + 1 if rng.random() < 0.02 else rng.randint(lo, hi))
-        if store.failed:
-            break
+            shrink, empty = store.raise_lo, hi + 1
+        if rng.random() < 0.02:
+            before = store.snapshot()
+            with pytest.raises(ValueError):
+                shrink(i, empty)
+            assert store.snapshot() == before
+        else:
+            shrink(i, rng.randint(lo, hi))
     return store
 
 
 def _compare_spliced_corners(rng, draw_instance, count, max_shrinks=None):
     """Checks gmin and gmax against the reference sweeps on ``count`` random
-    (box, head) cases; returns how many cases had no completion, a run
-    packed up from head, one packed down to it, and such runs longer than
-    _SHORT_RUN, which the corners bisect."""
-    cases = nones = packed_up = packed_down = long_up = long_down = 0
+    (box, head) cases; returns how many cases had a run packed up from
+    head, one packed down to it, and such runs longer than _SHORT_RUN,
+    which the corners bisect."""
+    cases = packed_up = packed_down = long_up = long_down = 0
     while cases < count:
         inst = draw_instance(rng)
         n = inst.N
         store = _random_store(rng, inst, max_shrinks)
         for _ in range(5):
-            if store.failed:
-                head, start = (), 0
-            elif rng.random() < 0.5:
+            if rng.random() < 0.5:
                 # a search prefix, drawn the way search branches
                 head = ()
                 for t in range(rng.randint(0, n)):
@@ -238,8 +252,7 @@ def _compare_spliced_corners(rng, draw_instance, count, max_shrinks=None):
             assert gmin(inst, store, head, start) == want_lo, (inst, store, head, start)
             assert gmax(inst, store, head, start) == want_hi, (inst, store, head, start)
             cases += 1
-            nones += want_lo is None
-            if want_lo is not None and head:
+            if head:
                 # the runs packed next to head differ from plain lo and hi
                 end = start + len(head)
                 up = sum(a != b for a, b in zip(want_lo[end:n], store.lo[end:]))
@@ -248,7 +261,7 @@ def _compare_spliced_corners(rng, draw_instance, count, max_shrinks=None):
                 packed_down += down > 0
                 long_up += up > _SHORT_RUN
                 long_down += down > _SHORT_RUN
-    return nones, packed_up, packed_down, long_up, long_down
+    return packed_up, packed_down, long_up, long_down
 
 
 def _large_instance(rng):
@@ -259,12 +272,11 @@ def _large_instance(rng):
 
 def test_spliced_corners_match_the_reference_sweeps():
     rng = random.Random(59)
-    nones, packed_up, packed_down, _, _ = _compare_spliced_corners(
+    packed_up, packed_down, _, _ = _compare_spliced_corners(
         rng, lambda r: random_instance(r, 2, 24), 6000)
-    assert nones > 100
     assert packed_up > 500 and packed_down > 200
     # boxes with N >= 40, where packed runs grow long enough to be bisected
-    _, _, _, long_up, long_down = _compare_spliced_corners(rng, _large_instance, 1500, 20)
+    _, _, long_up, long_down = _compare_spliced_corners(rng, _large_instance, 1500, 20)
     assert long_up > 100 and long_down > 100, (long_up, long_down)
 
 
@@ -303,8 +315,6 @@ def test_carried_corners_match_spliced_evaluations():
         for _ in range(4 if name == "deep" else 120):
             inst = draw(rng)
             store = _random_store(rng, inst, 6 if name == "deep" else None)
-            if store.failed:
-                continue
             corners = _Corners(inst, store)
             lrs = [math.log(inst.lam / (i * inst.mu)) for i in range(1, inst.N + 1)]
             for _ in range(5):
@@ -327,13 +337,6 @@ def test_carried_corners_match_spliced_evaluations():
     assert min(checked.values()) > 20, checked
     # prefixes whose exact q runs past float range, e^709
     assert widest > 1000.0, widest
-
-
-def test_corners_on_failed_store():
-    store = DomainStore.initial(EXAMPLE)
-    store.failed = True
-    assert gmin(EXAMPLE, store) is None
-    assert gmax(EXAMPLE, store) is None
 
 
 def test_corners_are_extreme_in_wq_and_b():
@@ -516,8 +519,6 @@ def _recursive_search(inst, store, inc, stats, restart_on_improve=False):
     """The recursive descent search replaced by its explicit stack: the
     reference for visit order, counts, the leaves offered to the incumbent
     (only those that improve on it) and the restart flag it returns."""
-    if store.failed:
-        return False
     n, s = inst.N, inst.S
     target = inst.Bl - EPS_B
 
@@ -667,11 +668,7 @@ def test_wait_corner_subsumes_dominance_cuts():
         for _ in range(20):
             store = DomainStore.initial(inst)
             for i in range(n):
-                if store.failed:
-                    break
                 store.raise_lo(i, rng.randint(store.lo[i], store.hi[i]))
-            if store.failed:
-                continue
             depth = rng.randint(0, n)
             ks = list(random_policy(rng, inst)[:n])
             corner = sweep_gmin(inst, store, {t: ks[t] for t in range(depth)})
