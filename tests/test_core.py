@@ -1,6 +1,7 @@
 """Evaluator tests: validation, golden values, route agreement, stability."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -11,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (EXAMPLE, GOLDEN_B_WQ, _carried, _corner_b_wq, _needs_log_space,
-                      log_space_pair, near_unit_pair, random_instance, random_policy, rel_close)
+from conftest import (EXAMPLE, GOLDEN_B_WQ, HEAVY_BLOCKING_INFEASIBLE, _carried, _corner_b_wq,
+                      _needs_log_space, log_space_pair, near_unit_pair, random_instance,
+                      random_policy, rel_close)
 from switchq import (DomainStore, Instance, brute_force_optimum, evaluate_b_wq,
                      evaluate_closed_form, evaluate_direct, is_feasible,
                      max_backroom_policy, min_wait_policy, read_instances, run_p1,
                      validate_instance, validate_policy)
-from switchq.core import _segment_tables, _Workspace, _workspace
+from switchq.core import (_CUMPROD_LIMIT, _LONG_RUN, _segment_tables, _Workspace,
+                          _workspace)
 from switchq.solver import (_MEMO_MAX_LEN, _MEMO_SIZE, SearchStats, SolverConfig, _Corners,
                             _eval, gmax, gmin, solve)
 
@@ -223,6 +226,31 @@ def test_workspace_b_is_never_negative_under_extreme_blocking():
     for st in run_p1(inst, trace=True).trace:
         assert st.B >= 0.0, st
         validate_instance(dataclasses.replace(inst, Bl=st.B))
+
+
+def test_b_is_never_below_the_flow_bound():
+    # flow balance: F = (lam/mu)(1 - P(S)) <= lam/mu, so every policy has
+    # B >= N - lam/mu.  The workspace forms B as N - (lam/mu) * share with a
+    # share of at most one, so the bound holds with no tolerance; generate
+    # rejects draws on it before evaluating anything
+    rng = random.Random(67)
+    cases = []
+    for _ in range(5000):
+        s = rng.randint(1, 400)
+        n = rng.randint(1, s)
+        mu = rng.uniform(0.2, 60.0)
+        inst = Instance(S=s, N=n, lam=mu * 10.0 ** rng.uniform(-8.0, 12.0), mu=mu, Bl=0.0)
+        cases += [(inst, random_policy(rng, inst)) for _ in range(4)]
+    for inst in HEAVY_BLOCKING_INFEASIBLE:
+        cases += [(inst, head + (inst.S,))
+                  for head in itertools.combinations(range(inst.S), inst.N)]
+    wide = long_fill = 0
+    for inst, pol in cases:
+        assert evaluate_b_wq(inst, pol)[0] >= inst.N - inst.lam / inst.mu, (inst, pol)
+        wide += inst.lam > inst.mu and inst.S * math.log(inst.lam / inst.mu) > _CUMPROD_LIMIT
+        long_fill += inst.S - pol[0] > _LONG_RUN
+    # both anchors of the workspace and both of its fills
+    assert len(cases) > 20_000 and 2_000 < wide < 18_000 and 2_000 < long_fill < 18_000
 
 
 def test_overflowing_load_is_rejected(tmp_path):
