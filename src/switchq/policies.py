@@ -1,8 +1,11 @@
 """Exhaustive search over the policy space.
 
 The valid policies are exactly the N-subsets of {0, ..., S-1} with S
-appended, so there are C(S, N) of them and lexicographic enumeration is a
-combinations walk.  Brute force is the reference judge for every other
+appended, so there are C(S, N) of them.  ``iter_policies`` walks them in
+lexicographic order one at a time.  The judge instead makes each block of
+them straight from their lexicographic ranks, by unranking in the
+combinatorial number system: min(N, S - N) vectorized steps per block and no
+Python per policy.  Brute force is the reference judge for every other
 solver in the package, so it stays independent of the evaluator they use.
 
 The judge screens the policies in blocks of a 2-D numpy array, one row per
@@ -31,6 +34,7 @@ oracle gives when run over every policy, bit for bit.
 import itertools
 import math
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,11 +42,15 @@ from .core import EPS_B, Instance, Policy, _segment_tables, evaluate_direct, val
 
 ENUMERATION_LIMIT = 10_000_000
 
-# policies * (N + 1) per screening block (a row holds N + 2 numbers); bounds
-# the memory a block takes.  The per-block cost is mostly fixed numpy call
-# overhead, so the judge's speed grows almost in proportion to this budget
-# (see ROADMAP, Direction 1).
-_BLOCK_ELEMENTS = 1 << 9
+# policies * (N + 1) per screening block (a row holds N + 2 numbers).  A block
+# pays a fixed cost of a few dozen numpy calls, so larger blocks are faster,
+# by less at each step: on the brute-judge benchmark's instances 2048, 4096
+# and 8192 read 1.39M, 1.82M and 1.96M policies/s (raw, best of 9, 2-core
+# VM).  Memory sets the limit: a block's temporaries grow with the budget,
+# and the benchmark's peak_rss_mb keeps every instance a run completes, so
+# it grows with throughput: 4096 read 1.071x the peak of the 512-element
+# judge that walked itertools.combinations, over ten pairs.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def policy_count(inst: Instance) -> int:
@@ -55,6 +63,77 @@ def iter_policies(inst: Instance) -> Iterator[Policy]:
     s = inst.S
     for front in itertools.combinations(range(s), inst.N):
         yield front + (s,)
+
+
+@lru_cache(maxsize=64)
+def _rank_table(s: int, k: int) -> np.ndarray:
+    """Row i < k - 1 holds C(k - 1 - i + j, k - i) for j = 0..s - k: the
+    weights the combinatorial number system gives to the i-th point of a
+    k-subset of range(s), over the s - k + 1 values it can take.
+
+    Each row is the cumsum of the one below it (Pascal's rule), from
+    C(j, 1) = j.  No entry exceeds C(s - 1, k) < C(s, k), so int64 holds
+    every table the enumeration limit admits.  Read-only, shared.
+    """
+    width = s - k + 1
+    table = np.empty((max(k - 1, 0), width), dtype=np.int64)
+    row = np.arange(width, dtype=np.int64)
+    for i in range(k - 2, -1, -1):
+        np.cumsum(row, out=row)
+        table[i] = row
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _complement_steps(n: int) -> np.ndarray:
+    """Row j <= n is 1 at each t = 0..n - 1 with t >= n - j, and the last
+    row is t itself, so a front is its last row plus the rows j_i of its
+    complement's points (see ``_write_fronts``).  Read-only, shared."""
+    t = np.arange(n)
+    steps = np.vstack((np.arange(n + 1)[:, None] >= n - t, t), dtype=np.intp)
+    steps.flags.writeable = False
+    return steps
+
+
+def _write_fronts(s: int, n: int, start: int, out: np.ndarray) -> None:
+    """Write into the rows of out the fronts (k_0, ..., k_{N-1}) of the
+    policies of lexicographic rank start, start + 1, ....
+
+    A K-subset p_0 < ... < p_{K-1} of range(S) has the combinatorial number
+    C(c_0, K) + C(c_1, K - 1) + ... + C(c_{K-1}, 1), c_i = S - 1 - p_i, and
+    the subset of rank r has number C(S, K) - 1 - r (Knuth, TAOCP 4A,
+    7.2.1.3).  Unranking takes each c_i = K - 1 - i + j_i as the largest
+    value whose weight fits in what is left of the number: one search in a
+    row of ``_rank_table`` across the whole block, and for the last point
+    the remainder itself.  So p_i = S - K + i - j_i.
+
+    Where N <= S / 2 the front itself is unranked.  Otherwise its complement
+    is, with K = S - N: complements run backwards through their own
+    lexicographic order, so the number is r, and the front's t-th point is t
+    plus the count of complement points with p_i - i = N - j_i <= t, summed
+    from ``_complement_steps``.  A block takes min(N, S - N) - 1 searches.
+    """
+    rows = len(out)
+    flip = 2 * n > s
+    if flip:
+        k, m = s - n, np.arange(start, start + rows, dtype=np.int64)
+        steps = _complement_steps(n)
+        out[...] = steps[-1]
+    else:
+        top = math.comb(s, n) - 1 - start
+        k, m = n, np.arange(top, top - rows, -1, dtype=np.int64)
+    table = _rank_table(s, k)
+    for i in range(k):
+        if i < k - 1:
+            j = table[i, 1:].searchsorted(m, side="right")
+            m -= table[i].take(j)
+        else:
+            j = m
+        if flip:
+            out += steps.take(j, axis=0)
+        else:
+            np.subtract(s - k + i, j, out=out[:, i])
 
 
 def _screen_tolerance(inst: Instance, log_rho: Sequence[float]) -> float:
@@ -162,15 +241,13 @@ def brute_force_optimum(inst: Instance, eps_b: float = EPS_B) -> tuple[Policy, f
     block = max(1, _BLOCK_ELEMENTS // (n + 1))
     buf = np.empty((min(block, count), n + 3), dtype=np.intp)
     buf[:, n + 1:] = (s - 1, s)
-    combos = itertools.combinations(range(s), n)
     best: Policy | None = None
     best_wq = math.inf
     for start in range(0, count, block):
         rows = min(block, count - start)
         points = buf[:rows]
         fronts = points[:, 1:n + 1]
-        fronts[...] = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
-                                  dtype=np.intp, count=rows * n).reshape(rows, n)
+        _write_fronts(s, n, start, fronts)
         np.subtract(fronts[:, 0], 1, out=points[:, 0])
         b, wq_lo, wq_hi = _screen(inst, points, tables)
         # settle feasibility first, so a policy the screen wrongly passes

@@ -11,9 +11,9 @@ from conftest import (EXAMPLE, HEAVY_BLOCKING_INFEASIBLE, OPT_POLICY, WQ_OPT, ra
                       random_policy)
 from switchq import (ENUMERATION_LIMIT, Instance, brute_force_optimum,
                      evaluate_direct, is_feasible, iter_policies,
-                     max_backroom_policy, min_wait_policy, policy_count)
+                     max_backroom_policy, min_wait_policy, policies, policy_count)
 from switchq.core import EPS_B, _segment_tables, validate_policy
-from switchq.policies import _screen, _ScreenTables
+from switchq.policies import _screen, _ScreenTables, _write_fronts
 
 
 def test_policy_count_matches_enumeration():
@@ -33,6 +33,20 @@ def test_enumeration_is_lexicographic():
     assert pols[0] == min_wait_policy(EXAMPLE)
     assert pols[-1] == max_backroom_policy(EXAMPLE)
     assert len(pols) == 20
+
+
+def test_unranked_blocks_match_the_enumeration():
+    # every start offset and block size a judge can meet, on both the front
+    # and the complement route
+    for s in range(1, 15):
+        for n in range(1, s + 1):
+            want = np.array([pol[:-1] for pol in iter_policies(Instance(S=s, N=n, lam=1.0,
+                                                                        mu=1.0, Bl=0.0))])
+            for rows in (len(want), 7, 1):
+                got = np.empty_like(want)
+                for start in range(0, len(want), rows):
+                    _write_fronts(s, n, start, got[start:start + rows])
+                assert (got == want).all(), (s, n, rows)
 
 
 def test_brute_force_on_example():
@@ -89,23 +103,27 @@ def _knife_edge(rng, inst):
     return Instance(S=inst.S, N=inst.N, lam=inst.lam, mu=inst.mu, Bl=b)
 
 
-def test_brute_force_matches_scalar_reference():
+def test_brute_force_matches_scalar_reference(monkeypatch):
     rng = random.Random(29)
     cases = [(random_instance(rng, 2, 12), EPS_B) for _ in range(200)]
     for _ in range(60):
         cases.append((_knife_edge(rng, random_instance(rng, 2, 12)), rng.choice((0.0, EPS_B))))
-    # spaces that span many screening blocks
-    cases += [(Instance(S=40, N=4, lam=6.0, mu=1.5, Bl=1.0), EPS_B),
-              (_knife_edge(rng, Instance(S=40, N=3, lam=6.0, mu=1.5, Bl=1.0)), 0.0)]
+    # spaces that span many screening blocks, also judged with one and with
+    # seven policies per block
+    spanning = [(Instance(S=40, N=4, lam=6.0, mu=1.5, Bl=1.0), EPS_B),
+                (_knife_edge(rng, Instance(S=40, N=3, lam=6.0, mu=1.5, Bl=1.0)), 0.0)]
+    cases += spanning
     for s in (1, 2, 9, 30):
         cases += [(Instance(S=s, N=1, lam=3.0, mu=1.0, Bl=0.2), EPS_B),
                   (Instance(S=s, N=s, lam=3.0, mu=1.0, Bl=0.2), EPS_B)]
+    spanning += cases[-2:]
     # every state past k_0 + 1 underflows, so all policies sharing k_0 tie
     # exactly and only the tie rule picks the answer
     cases.append((Instance(S=8, N=3, lam=1e-200, mu=1.0, Bl=1.0), EPS_B))
     wide = Instance(S=1000, N=1, lam=1.9, mu=1.0, Bl=0.1)
     assert wide.S * math.log(wide.lam / wide.mu) > 600
-    cases += [(wide, EPS_B), (_knife_edge(rng, wide), 0.0)]
+    spanning += [(wide, EPS_B), (_knife_edge(rng, wide), 0.0)]
+    cases += spanning[-2:]
     # heavy blocking: lam at 8-40 times N * mu, so most arrivals find S full;
     # each with a target below the all-late policy's B and a knife edge
     heavy = []
@@ -123,6 +141,11 @@ def test_brute_force_matches_scalar_reference():
         want = _scalar_brute_force(inst, eps_b)
         got = brute_force_optimum(inst, eps_b=eps_b)
         assert got == want, inst
+        if (inst, eps_b) in spanning:
+            for per_block in (1, 7):
+                with monkeypatch.context() as patch:
+                    patch.setattr(policies, "_BLOCK_ELEMENTS", per_block * (inst.N + 1))
+                    assert brute_force_optimum(inst, eps_b=eps_b) == want, (inst, per_block)
         if got is not None:
             feasible += 1
             assert all(type(v) is int for v in got[0]) and type(got[1]) is float
